@@ -22,6 +22,7 @@ ascent (Gauss-Seidel), which can only increase J.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,6 +285,7 @@ def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, estep_tol, estep_max
     j = _bound_from_ops(ops, tau, log_alpha)
     traj = [j]
     converged = False
+    est_ok = True
     estep_unconverged = 0
     iterations = 0
     for iterations in range(1, max_outer + 1):
@@ -308,7 +310,22 @@ def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, estep_tol, estep_max
         "converged": converged,
         "iterations": iterations,
         "estep_unconverged": estep_unconverged,
+        "estep_converged": est_ok,
     }
+
+
+def spawn_seed(seed, key: int) -> np.random.SeedSequence:
+    """Seed of sub-stream ``key`` of any seed :func:`numpy.random.default_rng`
+    takes; the same (seed, key) always gives the same stream."""
+    parent = np.random.default_rng(seed).bit_generator.seed_seq
+    return np.random.SeedSequence(parent.entropy, spawn_key=(*parent.spawn_key, key))
+
+
+def _restart_rng(seed, r):
+    """Generator of restart r: integer seeds keep the stream of [seed, r]."""
+    if seed is None or isinstance(seed, numbers.Integral):
+        return np.random.default_rng(None if seed is None else [int(seed), r])
+    return np.random.default_rng(spawn_seed(seed, r))
 
 
 def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
@@ -318,9 +335,12 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     """Best-of-restarts variational EM fit with Q latent groups.
 
     The first restart uses the requested ``init`` strategy (hierarchical
-    clustering by default); the remaining ones use random partitions seeded
-    from ``seed``.  The fit with the highest final bound is returned, with
-    classes relabeled in descending estimated-proportion order.
+    clustering by default; a random start replaces it when the linkage
+    refuses the profiles, noted in ``diagnostics["init_fallback"]``); the
+    remaining ones use random partitions seeded from ``seed``, which may be
+    anything :func:`numpy.random.default_rng` accepts.  The fit with the
+    highest final bound is returned, with classes relabeled in descending
+    estimated-proportion order.
 
     Raises
     ------
@@ -341,21 +361,18 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
         raise ValueError(f"unknown init strategy {init!r}")
 
     inits = []
+    init_fallback = None
     if init == "hierarchical":
         try:
             inits.append(init_partition(graph, Q, strategy="hierarchical").tau)
-        except Exception:
-            # degenerate profiles can break the linkage; fall back to random
-            rng = np.random.default_rng(None if seed is None else [int(seed), 0])
-            inits.append(init_partition(graph, Q, strategy="random", seed=rng).tau)
+        except ValueError as exc:
+            # profile distances that overflow to inf make the linkage refuse them
+            init_fallback = f"hierarchical start failed, random start used: {exc}"
     elif init == "given":
         inits.append(init_partition(graph, Q, strategy="given", labels=init_labels).tau)
-    else:
-        rng = np.random.default_rng(None if seed is None else [int(seed), 0])
-        inits.append(init_partition(graph, Q, strategy="random", seed=rng).tau)
-    for r in range(1, max(1, restarts)):
-        rng = np.random.default_rng(None if seed is None else [int(seed), r])
-        inits.append(init_partition(graph, Q, strategy="random", seed=rng).tau)
+    for r in range(len(inits), max(1, restarts)):
+        inits.append(init_partition(graph, Q, strategy="random",
+                                    seed=_restart_rng(seed, r)).tau)
 
     best = None
     failures = []
@@ -377,7 +394,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     assignment = np.argmax(tau, axis=1)
     return FitResult(
         params=params,
-        posterior=VariationalPosterior(tau=tau, converged=True),
+        posterior=VariationalPosterior(tau=tau, converged=best["estep_converged"]),
         bound_trajectory=best["trajectory"],
         entropy=classification_entropy(tau),
         map_assignment=assignment,
@@ -390,6 +407,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
             "failures": failures,
             "estep_unconverged": estep_unconverged,
             "empty_classes": int(np.sum(params.alpha < 1e-8)),
+            "init_fallback": init_fallback,
         },
     )
 

@@ -9,7 +9,9 @@ the two components swap under transposition.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,17 +26,51 @@ def _freeze(a):
     return a
 
 
-def _check_scalar_value(value, value_kind, num_labels, where):
-    v = float(value)
-    if not np.isfinite(v):
-        raise GraphBuildError(f"non-finite value at {where}")
+class EdgeColumns(NamedTuple):
+    """Edge entries as parallel arrays, the form the CSV readers produce.
+
+    ``i`` and ``j`` hold the int64 node indices of the m entries; ``values``
+    is a float array of shape (m, w) with one row per entry: w = 1 for
+    scalar values, 2 for paired couples (X_ij, X_ji), p for covariates.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    values: np.ndarray
+
+
+def _raise_first(bad, message):
+    """Raise GraphBuildError(message(k)) for the first True position k of ``bad``."""
+    if bad.any():
+        raise GraphBuildError(message(int(bad.argmax())))
+
+
+def _check_values(v, value_kind, num_labels, where):
+    """Reject the first row of ``v`` (m, w) holding a non-finite value or a
+    value outside the domain of ``value_kind``; ``where(k)`` names row k."""
+    _raise_first(~np.isfinite(v).all(axis=1), lambda k: f"non-finite value at {where(k)}")
     if value_kind == "count":
-        if v < 0 or v != int(v):
-            raise GraphBuildError(f"count value must be a nonnegative integer at {where}, got {value!r}")
+        bad, domain = (v < 0) | (v != np.trunc(v)), "a nonnegative integer"
     elif value_kind == "label":
-        if v != int(v) or not (1 <= int(v) <= num_labels):
-            raise GraphBuildError(f"label value must lie in 1..{num_labels} at {where}, got {value!r}")
-    return v
+        bad = (v < 1) | (v > num_labels) | (v != np.trunc(v))
+        domain = f"an integer in 1..{num_labels}"
+    else:
+        return
+    _raise_first(bad.any(axis=1), lambda k: (
+        f"{value_kind} value must be {domain} at {where(k)}, got {float(v[k, 0])!r}"))
+
+
+def _check_dense_size(n, width):
+    """Refuse an (n, n, width) float64 array larger than physical memory."""
+    need = n * n * width * 8
+    try:
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # the platform does not report its memory
+    if need > phys:
+        raise GraphBuildError(
+            f"a dense {n}x{n}x{width} array for n={n} needs {need / 2 ** 30:.1f} GiB, "
+            f"more than the {phys / 2 ** 30:.1f} GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -104,14 +140,9 @@ class ValuedGraph:
                 raise GraphBuildError("undirected graph requires a symmetric value matrix")
         g = cls(n=n, directed=bool(directed), value_kind=value_kind, values=vals,
                 num_labels=num_labels)
-        if value_kind in ("count", "label"):
-            off = ~np.eye(n, dtype=bool)
-            flat = vals[off]
-            if value_kind == "count" and (np.any(flat < 0) or np.any(flat != np.round(flat))):
-                raise GraphBuildError("count values must be nonnegative integers")
-            if value_kind == "label" and (np.any(flat != np.round(flat)) or np.any(flat < 1)
-                                          or np.any(flat > num_labels)):
-                raise GraphBuildError(f"label values must lie in 1..{num_labels}")
+        off = ~np.eye(n, dtype=bool)
+        _check_values(vals[off].reshape(n * (n - 1), -1), value_kind, num_labels,
+                      lambda k: "({},{})".format(*np.argwhere(off)[k]))
         return g
 
     def value(self, i, j):
@@ -180,24 +211,113 @@ class EdgeCovariates:
         return self.y[i, j]
 
 
+def _columns(entries, width=None) -> EdgeColumns:
+    """(i, j, values) arrays from an entry list or :class:`EdgeColumns`.
+
+    Entries are (i, j, value) triples whose values all have the same size;
+    ``width``, when given, is the size every value must have.
+    """
+    if not isinstance(entries, EdgeColumns):
+        entries = list(entries)
+        if not entries:
+            empty = np.empty(0, dtype=np.int64)
+            return EdgeColumns(empty, empty, np.empty((0, width or 0)))
+        ii, jj, vv = zip(*entries)
+        i = np.fromiter(map(int, ii), dtype=np.int64, count=len(ii))
+        j = np.fromiter(map(int, jj), dtype=np.int64, count=len(jj))
+        try:
+            v = np.array(vv, dtype=float)
+        except ValueError as exc:
+            sizes = np.array([np.size(x) for x in vv])
+            _raise_first(sizes != sizes[0], lambda k: (
+                f"value size mismatch at ({i[k]},{j[k]}): {sizes[k]} != {sizes[0]}"))
+            raise GraphBuildError(f"malformed entry values: {exc}") from exc
+        entries = EdgeColumns(i, j, v)
+    i, j, v = entries
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        v = v[:, None]
+    if width is not None and v.shape[1:] != (width,):
+        raise GraphBuildError(f"each entry needs {width} value(s), got shape {v.shape[1:]}")
+    return EdgeColumns(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), v)
+
+
+def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=None):
+    """Validate entry columns and scatter them into a dense (n, n, w) array.
+
+    Rejects self-loops, out-of-range indices, non-finite or out-of-domain
+    values, conflicting duplicates and, without ``fill``, missing pairs;
+    each error names the first offending entry in input order.  Undirected
+    entries are keyed by (min, max) and stored in both orientations;
+    "paired" couples given as (j, i) with j > i are swapped to match.
+    """
+    i, j, v = cols
+    _check_dense_size(n, v.shape[1])
+
+    def where(k):
+        return f"({i[k]},{j[k]})"
+
+    _raise_first(i == j, lambda k: f"self-loop {what} {where(k)} not allowed")
+    _raise_first((i < 0) | (i >= n) | (j < 0) | (j >= n),
+                 lambda k: f"node index out of range in {what} {where(k)}; n={n}")
+    _check_values(v, value_kind, num_labels, where)
+    if fill is not None:
+        _check_values(fill[None, :], value_kind, num_labels, lambda k: "fill")
+
+    swap = value_kind == "paired"
+    if directed:
+        a, b = i, j
+    else:
+        a, b = np.minimum(i, j), np.maximum(i, j)
+        if swap:
+            v = np.where((i > j)[:, None], v[:, ::-1], v)
+    key = a * n + b
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    starts = np.ones(key.size, dtype=bool)
+    starts[1:] = sorted_key[1:] != sorted_key[:-1]
+    head = order[starts]  # first entry of each pair, in key order
+    clash = np.zeros(key.size, dtype=bool)
+    clash[order] = np.any(v[order] != v[head[np.cumsum(starts) - 1]], axis=1)
+    _raise_first(clash, lambda k: f"conflicting duplicate {what} for pair ({a[k]}, {b[k]})")
+
+    vals = np.full((n, n, v.shape[1]), np.nan if fill is None else fill)
+    vals[a[head], b[head]] = v[head]
+    n_pairs = n * (n - 1) if directed else n * (n - 1) // 2
+    if head.size < n_pairs and fill is None:
+        missing = np.isnan(vals[:, :, 0])
+        np.fill_diagonal(missing, False)
+        if not directed:
+            missing = np.triu(missing)
+        p, q = np.argwhere(missing)[0]
+        raise GraphBuildError(f"missing {what} for pair ({p}, {q})")
+    if not directed:
+        lower = np.tri(n, k=-1, dtype=bool)
+        mirrored = vals.transpose(1, 0, 2)[lower]
+        vals[lower] = mirrored[:, ::-1] if swap else mirrored
+    vals[np.arange(n), np.arange(n)] = 0.0
+    return vals
+
+
 def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) -> ValuedGraph:
     """Validate an edge list and assemble a :class:`ValuedGraph`.
 
     Parameters
     ----------
-    entries : iterable of (i, j, value)
+    entries : iterable of (i, j, value), or EdgeColumns
         For the "paired" kind each value is a couple (X_ij, X_ji).
     fill : scalar or couple, optional
         Value assigned to unspecified pairs.  Without it the specification
         must be complete: every ordered (directed) or unordered (undirected)
-        pair must appear exactly once, and absence is an error.
+        pair must appear, and absence is an error.  Agreeing duplicates are
+        allowed.
 
     Raises
     ------
     GraphBuildError
         On self-loops, out-of-range indices, conflicting duplicates,
-        non-finite or out-of-domain values, or missing pairs when no fill
-        value was given.
+        non-finite or out-of-domain values, missing pairs when no fill
+        value was given, or a dense array larger than physical memory.
     """
     if n < 2:
         raise GraphBuildError("graph needs at least 2 nodes")
@@ -208,113 +328,26 @@ def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) ->
     if value_kind == "label" and not num_labels:
         raise GraphBuildError("label kind requires num_labels")
 
-    paired = value_kind == "paired"
-    vals = np.zeros((n, n, 2) if paired else (n, n))
-    seen = {}
-    for entry in entries:
-        i, j, value = entry
-        i, j = int(i), int(j)
-        if i == j:
-            raise GraphBuildError(f"self-loop entry ({i},{j}) not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphBuildError(f"node index out of range in entry ({i},{j}); n={n}")
-        if paired:
-            a, b = value
-            v = (
-                _check_scalar_value(a, "real", None, f"({i},{j})"),
-                _check_scalar_value(b, "real", None, f"({i},{j})"),
-            )
-            key = (i, j) if i < j else (j, i)
-            v = v if i < j else (v[1], v[0])
-        else:
-            v = _check_scalar_value(value, value_kind, num_labels, f"({i},{j})")
-            key = (i, j) if directed else (min(i, j), max(i, j))
-        if key in seen:
-            if seen[key] != v:
-                raise GraphBuildError(f"conflicting duplicate entry for pair {key}")
-            continue
-        seen[key] = v
-
+    width = 2 if value_kind == "paired" else 1
     if fill is not None:
-        if paired:
-            fv = fill if isinstance(fill, (tuple, list)) else (fill, fill)
-            fill_value = (
-                _check_scalar_value(fv[0], "real", None, "fill"),
-                _check_scalar_value(fv[1], "real", None, "fill"),
-            )
-        else:
-            fill_value = _check_scalar_value(fill, value_kind, num_labels, "fill")
-
-    expected = (
-        [(i, j) for i in range(n) for j in range(n) if i != j]
-        if directed
-        else [(i, j) for i in range(n) for j in range(i + 1, n)]
-    )
-    for key in expected:
-        if key not in seen:
-            if fill is None:
-                raise GraphBuildError(f"missing value for pair {key} (pass fill= to densify)")
-            seen[key] = fill_value
-
-    for (i, j), v in seen.items():
-        if paired:
-            vals[i, j] = v
-            vals[j, i] = (v[1], v[0])
-        else:
-            vals[i, j] = v
-            if not directed:
-                vals[j, i] = v
-
-    return ValuedGraph(n=n, directed=directed, value_kind=value_kind, values=vals,
-                       num_labels=num_labels)
+        fill = np.broadcast_to(np.asarray(fill, dtype=float), (width,))
+    vals = _assemble(n, directed, _columns(entries, width), "entry", value_kind,
+                     num_labels, fill)
+    return ValuedGraph(n=n, directed=directed, value_kind=value_kind,
+                       values=vals if width == 2 else vals[:, :, 0], num_labels=num_labels)
 
 
 def attach_covariates(graph: ValuedGraph, cov_entries) -> EdgeCovariates:
     """Validate covariate vectors against a host graph.
 
-    ``cov_entries`` is an iterable of (i, j, vector).  The index set must
-    match the graph exactly (same symmetry convention), all vectors must
-    share one dimension p >= 1 and all entries must be finite.
+    ``cov_entries`` is an iterable of (i, j, vector), or EdgeColumns.  The
+    index set must match the graph exactly (same symmetry convention), all
+    vectors must share one dimension p >= 1 and all entries must be finite.
     """
-    n = graph.n
-    seen = {}
-    p = None
-    for i, j, vec in cov_entries:
-        i, j = int(i), int(j)
-        if i == j:
-            raise GraphBuildError(f"self-loop covariate entry ({i},{j})")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphBuildError(f"covariate index out of range in entry ({i},{j})")
-        v = np.atleast_1d(np.asarray(vec, dtype=float))
-        if p is None:
-            p = v.size
-            if p < 1:
-                raise GraphBuildError("covariate dimension must be >= 1")
-        elif v.size != p:
-            raise GraphBuildError(f"covariate dimension mismatch at ({i},{j}): {v.size} != {p}")
-        if not np.all(np.isfinite(v)):
-            raise GraphBuildError(f"non-finite covariate entry at ({i},{j})")
-        key = (i, j) if graph.directed else (min(i, j), max(i, j))
-        if key in seen:
-            if not np.array_equal(seen[key], v):
-                raise GraphBuildError(f"conflicting duplicate covariate for pair {key}")
-            continue
-        seen[key] = v
-
-    if p is None:
+    cols = _columns(cov_entries)
+    if cols.i.size == 0:
         raise GraphBuildError("empty covariate specification")
-
-    expected = (
-        [(i, j) for i in range(n) for j in range(n) if i != j]
-        if graph.directed
-        else [(i, j) for i in range(n) for j in range(i + 1, n)]
-    )
-    y = np.zeros((n, n, p))
-    for key in expected:
-        if key not in seen:
-            raise GraphBuildError(f"missing covariate for pair {key}")
-    for (i, j), v in seen.items():
-        y[i, j] = v
-        if not graph.directed:
-            y[j, i] = v
-    return EdgeCovariates(p=p, y=y)
+    if cols.values.shape[1] < 1:
+        raise GraphBuildError("covariate dimension must be >= 1")
+    y = _assemble(graph.n, graph.directed, cols, "covariate")
+    return EdgeCovariates(p=y.shape[2], y=y)

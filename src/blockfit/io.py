@@ -1,7 +1,25 @@
 """File formats: edge/covariate CSVs, fit JSON, selection tables, reports.
 
 Edge-list CSV: header ``i,j,value`` (or ``i,j,v1,v2`` for paired values);
-covariate CSV: header ``i,j,y1..yp``; 0-based node indices, UTF-8, LF.
+covariate CSV: header ``i,j,y1..yp``; 0-based node indices, UTF-8.  The
+accepted dialect:
+
+* the header is the first non-blank line; its cells are matched without
+  regard to case or surrounding spaces;
+* every other row has exactly one cell per header column, separated by
+  commas; a cell may be wrapped in double quotes, and spaces around a
+  number are ignored;
+* ``i`` and ``j`` are written as integers (``1.0`` or ``1e3`` is an error),
+  values as any float literal; an empty cell is an error;
+* empty and whitespace-only lines are skipped anywhere in the file; a line
+  of empty cells such as ``,,`` is an error; ``#`` starts no comment;
+* a malformed row raises :class:`InputFormatError` naming ``path:line``.
+
+The dense graph built from a file holds n*n floats (twice that for paired
+values, p times for covariates); a file whose largest index asks for more
+than the machine's physical memory is refused with a ``GraphBuildError``
+before anything that size is allocated.
+
 Fit results serialize to JSON with full float precision, so a written and
 re-read fit reproduces predictions bit-identically.
 """
@@ -10,6 +28,9 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import warnings
+from io import StringIO
 
 import numpy as np
 
@@ -17,84 +38,117 @@ from . import families
 from .engine import FitResult, MixtureParams, VariationalPosterior
 from .errors import InputFormatError
 from .families import FamilySpec
-from .graph import EdgeCovariates, ValuedGraph, attach_covariates, build_graph
+from .graph import EdgeColumns, EdgeCovariates, ValuedGraph, attach_covariates, build_graph
 from .selection import SelectionResult
 
 
-def _read_rows(path):
+_HEADER = re.compile(r"((?:[^\S\n]*\n)*)([^\n]*)")  # blank lines, then the header
+_BLANK_LINE = re.compile(r"\n[^\S\n]+(?=\n|$)")
+_LOADTXT_ROW = re.compile(r" at row (\d+)(; use `usecols`.*)?")
+
+
+def _read_columns(path, value_columns) -> EdgeColumns:
+    """Parse an ``i,j,<values>`` CSV into columns.
+
+    The header is the first non-blank line, read with :mod:`csv`;
+    ``value_columns(path, header)`` checks its lower-cased cells and returns
+    the number of value columns w.  The body is parsed in one
+    :func:`numpy.loadtxt` call into int64 ``i``, ``j`` and (m, w) float
+    values.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
+    blank, head = _HEADER.match(text).groups()
+    if not head.strip():
         raise InputFormatError(f"{path}: empty file")
-    return rows
+    width = value_columns(path, [h.strip().lower() for h in next(csv.reader([head]))])
+    header_line = blank.count("\n") + 1
+    # loadtxt skips empty lines but not whitespace-only ones: empty those
+    body = _BLANK_LINE.sub("\n", text[len(blank) + len(head):])
+    dtype = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64, (width,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    except ValueError as exc:
+        raise _row_error(path, exc, body, header_line) from exc
+    return EdgeColumns(rows["i"], rows["j"], rows["v"])
 
 
-def read_edge_csv(path):
-    """Parse an edge-list CSV.  Returns (entries, paired) where entries are
-    (i, j, value) triples (value is a couple when paired)."""
-    rows = _read_rows(path)
-    header = [h.strip().lower() for h in rows[0]]
+def _row_error(path, exc, body, header_line):
+    """InputFormatError naming the file line of the row a loadtxt error names.
+
+    loadtxt numbers only the non-empty lines it parses, from 0 in conversion
+    errors and from 1 in column-count errors; ``body`` starts with the rest
+    of the header line.
+    """
+    message = str(exc)
+    found = _LOADTXT_ROW.search(message)
+    line = "?"
+    if found is not None:
+        row = int(found.group(1)) - (not message.startswith("could not convert"))
+        offsets = [k for k, text in enumerate(body.split("\n")) if text]
+        if 0 <= row < len(offsets):
+            line = header_line + offsets[row]
+    return InputFormatError(f"{path}:{line}: {_LOADTXT_ROW.sub('', message)}")
+
+
+def _edge_header(path, header):
     if header[:2] != ["i", "j"]:
         raise InputFormatError(f"{path}: header must start with i,j")
     if header[2:] == ["value"]:
-        paired = False
-    elif header[2:] == ["v1", "v2"]:
-        paired = True
-    else:
-        raise InputFormatError(f"{path}: expected columns i,j,value or i,j,v1,v2")
-    entries = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputFormatError(f"{path}:{ln}: wrong number of columns")
-        try:
-            i, j = int(row[0]), int(row[1])
-            value = (float(row[2]), float(row[3])) if paired else float(row[2])
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{ln}: {exc}") from exc
-        entries.append((i, j, value))
-    if not entries:
-        raise InputFormatError(f"{path}: no edges")
-    return entries, paired
+        return 1
+    if header[2:] == ["v1", "v2"]:
+        return 2
+    raise InputFormatError(f"{path}: expected columns i,j,value or i,j,v1,v2")
 
 
-def read_covariate_csv(path):
-    """Parse a covariate CSV; returns (entries, p)."""
-    rows = _read_rows(path)
-    header = [h.strip().lower() for h in rows[0]]
+def _covariate_header(path, header):
     if header[:2] != ["i", "j"] or len(header) < 3:
         raise InputFormatError(f"{path}: header must be i,j,y1..yp")
     p = len(header) - 2
     if header[2:] != [f"y{d + 1}" for d in range(p)]:
         raise InputFormatError(f"{path}: covariate columns must be named y1..y{p}")
-    entries = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputFormatError(f"{path}:{ln}: wrong number of columns")
-        try:
-            entries.append((int(row[0]), int(row[1]),
-                            [float(v) for v in row[2:]]))
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{ln}: {exc}") from exc
-    return entries, p
+    return p
+
+
+def _read_edges(path):
+    cols = _read_columns(path, _edge_header)
+    if cols.i.size == 0:
+        raise InputFormatError(f"{path}: no edges")
+    return cols, cols.values.shape[1] == 2
+
+
+def read_edge_csv(path):
+    """Parse an edge-list CSV.  Returns (entries, paired) where entries are
+    (i, j, value) triples (value is a couple when paired)."""
+    cols, paired = _read_edges(path)
+    values = map(tuple, cols.values.tolist()) if paired else cols.values[:, 0].tolist()
+    return list(zip(cols.i.tolist(), cols.j.tolist(), values)), paired
+
+
+def read_covariate_csv(path):
+    """Parse a covariate CSV; returns (entries, p)."""
+    cols = _read_columns(path, _covariate_header)
+    return list(zip(cols.i.tolist(), cols.j.tolist(), cols.values.tolist())), cols.values.shape[1]
 
 
 def load_graph(edges_path, directed=False, value_kind="count", num_labels=None,
                n=None, fill=None) -> ValuedGraph:
-    entries, paired = read_edge_csv(edges_path)
+    cols, paired = _read_edges(edges_path)
     if paired:
         value_kind = "paired"
     if n is None:
-        n = 1 + max(max(int(e[0]), int(e[1])) for e in entries)
-    return build_graph(n, directed, entries, value_kind, num_labels=num_labels, fill=fill)
+        n = 1 + int(max(cols.i.max(), cols.j.max()))
+    return build_graph(n, directed, cols, value_kind, num_labels=num_labels, fill=fill)
 
 
 def load_covariates(graph: ValuedGraph, cov_path) -> EdgeCovariates:
-    entries, _ = read_covariate_csv(cov_path)
-    return attach_covariates(graph, entries)
+    return attach_covariates(graph, _read_columns(cov_path, _covariate_header))
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +229,15 @@ def write_selection_table(path, result: SelectionResult, fmt="csv"):
         rows.append({
             "Q": rec.q,
             "J": "" if rec.fit is None else rec.fit.bound,
-            "ICL": rec.icl,
+            "ICL": rec.icl if fmt == "csv" or np.isfinite(rec.icl) else None,
             "entropy": "" if rec.fit is None else rec.fit.entropy,
             "chosen": int(rec.q == result.chosen_q),
             "error": rec.error or "",
         })
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"chosen_q": result.chosen_q, "sweep": rows}, fh, indent=1)
+            json.dump({"chosen_q": result.chosen_q, "sweep": rows}, fh, indent=1,
+                      allow_nan=False)
             fh.write("\n")
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:

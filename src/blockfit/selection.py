@@ -12,13 +12,14 @@ checks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import families
-from .engine import FitResult, MixtureParams, complete_data_loglik, fit, mstep
+from .engine import FitResult, MixtureParams, complete_data_loglik, fit, mstep, spawn_seed
 from .errors import BlockfitError, NumericalError
 from .graph import EdgeCovariates, ValuedGraph
 
@@ -97,9 +98,12 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
     opts.pop("seed", None)
 
     def one(q):
+        if seed is None or isinstance(seed, numbers.Integral):
+            seed_q = None if seed is None else int(seed) * 1000 + q
+        else:
+            seed_q = spawn_seed(seed, q)
         try:
-            fr = fit(graph, spec, q, cov,
-                     seed=None if seed is None else int(seed) * 1000 + q, **opts)
+            fr = fit(graph, spec, q, cov, seed=seed_q, **opts)
             fr.icl = icl(graph, spec, fr, cov, edge_count=edge_count)
             return SelectionRecord(q=q, fit=fr, icl=fr.icl)
         except (BlockfitError, ValueError, np.linalg.LinAlgError) as exc:

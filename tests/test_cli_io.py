@@ -198,3 +198,24 @@ def test_read_edge_csv_paired(tmp_path):
 def test_fit_from_jsonable_rejects_garbage():
     with pytest.raises(bf.InputFormatError):
         fit_from_jsonable({"family": "poisson"})
+
+
+def test_selection_json_is_strict(tmp_path, two_block_graph):
+    from blockfit.io import write_selection_table
+    from blockfit.selection import SelectionRecord, SelectionResult
+
+    g, _ = two_block_graph
+    fr = bf.fit(g, POISSON, 1, seed=0, restarts=1)
+    result = SelectionResult(records=[
+        SelectionRecord(q=1, fit=fr, icl=bf.icl(g, POISSON, fr)),
+        SelectionRecord(q=2, fit=None, icl=-math.inf, error="diverged"),
+    ], chosen_q=1)
+    path = tmp_path / "sweep.json"
+    write_selection_table(path, result, fmt="json")
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(path.read_text(), parse_constant=refuse)
+    assert data["sweep"][1]["ICL"] is None
+    assert data["sweep"][0]["ICL"] == result.records[0].icl

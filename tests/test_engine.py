@@ -358,3 +358,36 @@ def test_complete_data_loglik_matches_loops():
         l_ = lam[labels[i], labels[j]]
         want += x * np.log(l_) - l_ - gammaln(x + 1)
     assert complete_data_loglik(g, spec, params, labels) == pytest.approx(want, abs=1e-9)
+
+
+def test_fit_accepts_any_numpy_seed_and_keeps_integer_streams():
+    g, _ = sample_poisson([[4.0, 1.0], [1.0, 3.0]], [0.5, 0.5], 30, seed=0)
+    a = bf.fit(g, POISSON, 2, seed=[1, 2], restarts=3)
+    b = bf.fit(g, POISSON, 2, seed=[1, 2], restarts=3)
+    assert np.array_equal(a.posterior.tau, b.posterior.tau)
+    bf.fit(g, POISSON, 2, seed=np.random.SeedSequence(7), init="random", restarts=2)
+    # an integer seed s gives restart r the stream of default_rng([s, r])
+    labels = np.random.default_rng([5, 0]).integers(0, 2, size=g.n)
+    c = bf.fit(g, POISSON, 2, seed=5, init="random", restarts=1)
+    d = bf.fit(g, POISSON, 2, init=labels, restarts=1)
+    assert np.array_equal(c.posterior.tau, d.posterior.tau)
+
+
+def test_posterior_reports_final_estep_convergence():
+    g, _ = sample_poisson([[2.0, 1.5], [1.5, 2.0]], [0.5, 0.5], 30, seed=0)
+    assert bf.fit(g, POISSON, 2, seed=1, restarts=1).posterior.converged is True
+    fr = bf.fit(g, POISSON, 2, seed=1, restarts=1, estep_max_sweeps=1)
+    assert fr.posterior.converged is False
+
+
+def test_hierarchical_start_falls_back_on_overflowing_profiles():
+    g, _ = sample_poisson([[2.0, 0.5], [0.5, 2.0]], [0.5, 0.5], 12, seed=0)
+    X = g.values.copy()
+    X[0, 1] = X[1, 0] = 1e155  # squared profile distances overflow to inf
+    g = ValuedGraph.from_matrix(X, directed=False)
+    with pytest.raises(ValueError):
+        init_partition(g, 2)
+    fr = bf.fit(g, POISSON, 2, seed=0, restarts=1)
+    assert "finite" in fr.diagnostics["init_fallback"]
+    assert bf.fit(g, POISSON, 2, seed=0, restarts=1, init="random").diagnostics[
+        "init_fallback"] is None

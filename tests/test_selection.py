@@ -94,3 +94,16 @@ def test_select_q_bad_range():
         bf.select_q(g, POISSON, [])
     with pytest.raises(ValueError):
         bf.select_q(g, POISSON, [3, 2, 1])
+
+
+def test_select_q_accepts_seed_sequences_and_keeps_integer_streams():
+    params = MixtureParams(alpha=np.array([0.5, 0.5]),
+                           theta=PoissonParams(lam=np.array([[4.0, 1.0], [1.0, 3.0]])))
+    g, _ = bf.sample_graph(params, 30, False, POISSON, seed=0)
+    opts = {"restarts": 2}
+    a = bf.select_q(g, POISSON, range(1, 4), fit_options=opts, seed=[1, 2])
+    b = bf.select_q(g, POISSON, range(2, 4), fit_options=opts, seed=[1, 2])
+    assert a.record(3).icl == b.record(3).icl  # streams are keyed by (seed, Q)
+    # an integer seed s fits Q with seed s * 1000 + Q
+    c = bf.select_q(g, POISSON, range(1, 3), fit_options=opts, seed=3)
+    assert c.record(2).fit.bound == bf.fit(g, POISSON, 2, seed=3002, **opts).bound
