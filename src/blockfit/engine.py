@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import squareform
 from scipy.special import logsumexp, xlogy
 
 from . import families
@@ -121,9 +122,17 @@ def _entropy_term(tau):
     return -float(xlogy(tau, tau).sum())
 
 
-def _bound_from_scores(tau, D, log_alpha):
-    # the edge sum equals tau.D/2 because every pair appears in two rows
-    return _entropy_term(tau) + float(tau.sum(axis=0) @ log_alpha) + 0.5 * float(np.sum(tau * D))
+def _bound_from_scores(ops, tau, D, log_alpha):
+    """J from node scores D = ops.node_scores(tau), for comparisons inside
+    the E-step.
+
+    The edge sum equals tau.D/2 because every pair appears in two rows.  D
+    leaves out the tau-independent ``ops.fixed``, which cancels in every
+    comparison; it is added back so that the relative tolerance in
+    :func:`_estep_core` is scaled by J itself.
+    """
+    return (_entropy_term(tau) + float(tau.sum(axis=0) @ log_alpha)
+            + 0.5 * float(np.sum(tau * D)) + ops.fixed)
 
 
 def _bound_from_ops(ops, tau, log_alpha):
@@ -151,7 +160,7 @@ def _estep_jacobi(ops, log_alpha, tau0, tol, max_sweeps):
     """Synchronous fixed-point sweeps.  Returns (tau, converged, best pair)."""
     tau = tau0
     D = ops.node_scores(tau)
-    j_cur = _bound_from_scores(tau, D, log_alpha)
+    j_cur = _bound_from_scores(ops, tau, D, log_alpha)
     best_j, best_tau = j_cur, tau
     prev_resid = np.inf
     damp = 1.0
@@ -167,7 +176,7 @@ def _estep_jacobi(ops, log_alpha, tau0, tol, max_sweeps):
         prev_resid = resid
         tau = prop if damp == 1.0 else _normalize_rows(damp * prop + (1.0 - damp) * tau)
         D = ops.node_scores(tau)
-        j_cur = _bound_from_scores(tau, D, log_alpha)
+        j_cur = _bound_from_scores(ops, tau, D, log_alpha)
         if j_cur > best_j:
             best_j, best_tau = j_cur, tau
     return tau, j_cur, converged, best_j, best_tau
@@ -195,7 +204,7 @@ def _estep_gauss_seidel(ops, log_alpha, tau, tol, max_sweeps):
 
 
 def _estep_core(ops, log_alpha, tau0, tol, max_sweeps):
-    j_init = _bound_from_scores(tau0, ops.node_scores(tau0), log_alpha)
+    j_init = _bound_from_scores(ops, tau0, ops.node_scores(tau0), log_alpha)
     tau, j_cur, converged, best_j, best_tau = _estep_jacobi(
         ops, log_alpha, tau0, tol, max_sweeps)
     if converged and j_cur >= j_init - 1e-9 * max(1.0, abs(j_init)):
@@ -232,6 +241,32 @@ def mstep(graph: ValuedGraph, spec, tau, cov: EdgeCovariates | None = None,
     return MixtureParams(alpha=alpha, theta=theta)
 
 
+def _profile_distances(graph: ValuedGraph) -> np.ndarray:
+    """Condensed Euclidean distances between the nodes' edge-value profiles.
+
+    The profile of node i is the row [A_i, B_i], with (A, B) = (X, X^T), or
+    the two channels of paired values.  The squared distances are
+    sq_i + sq_j - 2 G_ij from the Gram matrix G = A A^T + B B^T, two matrix
+    products instead of a pairwise loop over the n x 2n profiles.
+    """
+    if graph.value_kind == "paired":
+        A, B = graph.values[:, :, 0], graph.values[:, :, 1]
+    else:
+        A, B = graph.values, graph.values.T
+    # overflowing profiles give inf/nan here, which the linkage refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A @ A.T
+        G += B @ B.T
+        sq = G.diagonal().copy()
+        G *= -2.0
+        G += sq[:, None]
+        G += sq[None, :]
+        np.maximum(G, 0.0, out=G)
+        np.fill_diagonal(G, 0.0)
+        dist = squareform(G, checks=False)
+        return np.sqrt(dist, out=dist)
+
+
 def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
                    seed=None, labels=None) -> VariationalPosterior:
     """Initial tau as a softened hard partition (0.95 on the assigned class).
@@ -240,6 +275,15 @@ def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
     edge-value profiles (row and column concatenated) with Ward linkage cut
     at Q groups; ``random`` draws labels uniformly; ``given`` softens the
     supplied label vector.
+
+    The hierarchical distances come from Gram products (see
+    :func:`_profile_distances`).  For integer values (count, binary, label)
+    every intermediate is an exact integer while the squared profile norms
+    stay below 2**53, so the distances, the linkage and the labels are
+    bit-identical to ``linkage(profile, "ward")``; for real values they agree
+    to rounding.  Profiles whose squared distances overflow make the linkage
+    raise its ``ValueError`` about non-finite distances, as it did on the
+    profiles themselves.
     """
     n = graph.n
     if Q < 1 or Q > n:
@@ -247,11 +291,7 @@ def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
     if Q == 1:
         return VariationalPosterior(tau=np.ones((n, 1)))
     if strategy in ("hier", "hierarchical"):
-        if graph.value_kind == "paired":
-            profile = np.hstack([graph.values[:, :, 0], graph.values[:, :, 1]])
-        else:
-            profile = np.hstack([graph.values, graph.values.T])
-        Z = linkage(profile, method="ward")
+        Z = linkage(_profile_distances(graph), method="ward")
         labels = fcluster(Z, t=Q, criterion="maxclust") - 1
     elif strategy == "random":
         rng = np.random.default_rng(seed)
@@ -417,10 +457,12 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
 
 
 def _dense_loglik(graph, spec, params, cov):
+    """(Q, Q, n, n) block-dependent log-densities and the scalar rest."""
     n, Q = graph.n, params.Q
     if Q * Q * n * n > 5 * 10 ** 7:
         raise NumericalError("dense log-density tensor too large")
-    return _scorer(spec, graph, cov)(params.theta).dense()
+    ops = _scorer(spec, graph, cov)(params.theta)
+    return ops.dense(), ops.fixed
 
 
 def _pair_list(graph):
@@ -436,7 +478,7 @@ def _assignment_logliks(graph, spec, params, cov):
     total = Q ** n
     if total > ENUM_LIMIT:
         raise NumericalError(f"enumeration of {Q}**{n} assignments is too large")
-    L = _dense_loglik(graph, spec, params, cov)
+    L, fixed = _dense_loglik(graph, spec, params, cov)
     log_alpha = _log_alpha(params.alpha)
     pairs = _pair_list(graph)
     radix = Q ** np.arange(n, dtype=np.int64)
@@ -445,7 +487,7 @@ def _assignment_logliks(graph, spec, params, cov):
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         Zc = (idx[:, None] // radix[None, :]) % Q
-        ll = log_alpha[Zc].sum(axis=1)
+        ll = log_alpha[Zc].sum(axis=1) + fixed
         for i, j in pairs:
             ll += L[Zc[:, i], Zc[:, j], i, j]
         lls[start:start + idx.size] = ll

@@ -5,7 +5,13 @@ Every family answers three questions for the fitting engine:
 * scoring -- log f_ql(X_ij) for all blocks (q, l) and pairs (i, j), either
   as a sum-of-products decomposition  log f_ql(X_ij) = sum_k S_k[i,j] C_k[q,l]
   (cheap matrix products) or, when no such split exists, as a dense
-  (Q, Q, n, n) tensor;
+  (Q, Q, n, n) tensor.  A decomposition keeps only the statistics whose
+  coefficient varies with the block as n x n arrays: the off-diagonal
+  indicator becomes a (Q, Q) ``mask`` coefficient scored in closed form,
+  and every term that is the same for all blocks (-log X!, PRMH's X * g,
+  simplereg's shared-slope terms) is summed once into the scalar ``fixed``,
+  which the E-step's softmax never needs.  Poisson thus costs one n x n
+  product per E-sweep and orientation;
 * estimation -- the maximizer of the weighted log-likelihood
   sum_{i != j} tau_iq tau_jl log f_ql(X_ij), closed form where available,
   Newton on the weighted GLM objective for the Poisson regressions;
@@ -245,19 +251,31 @@ def _perm2(mask, perm):
 
 
 class DecomposedScores:
-    """log f_ql(X_ij) = sum_k stats[k][i, j] * coeffs[k][q, l].
+    """log f_ql(X_ij) = sum_k stats[k][i, j] * coeffs[k][q, l]
+                        + mask[q, l] + c_ij   (i != j).
 
     All stats carry a zero diagonal, so sums over j automatically exclude
-    j = i.
+    j = i.  Two parts need no n x n statistic:
+
+    * ``mask`` -- the (Q, Q) coefficient of the off-diagonal indicator
+      (log(1 - pi), -lam, normalizing constants).  Its product with tau has
+      the closed form M @ tau = colsum(tau) - tau, O(nQ);
+    * ``fixed`` -- the pair sum of c_ij, every term that is the same for all
+      blocks (-log X!, PRMH's X * g, ...), as one scalar.  It shifts each
+      row of the node scores by a constant, which cancels in the softmax,
+      so :meth:`node_scores` leaves it out; :meth:`edge_term` adds it once
+      (tau rows sum to 1).
     """
 
-    def __init__(self, stats, coeffs, directed):
+    def __init__(self, stats, coeffs, directed, mask=None, fixed=0.0):
         self.stats = [np.asarray(s) for s in stats]
         self.coeffs = [np.asarray(c, dtype=float) for c in coeffs]
         self.directed = directed
+        self.mask = None if mask is None else np.asarray(mask, dtype=float)
+        self.fixed = float(fixed)
 
     def node_scores(self, tau):
-        """D[i, q] = sum_{j != i} sum_l tau[j, l] * g_ql(i, j).
+        """D[i, q] = sum_{j != i} sum_l tau[j, l] * g_ql(i, j), less ``fixed``.
 
         For directed graphs g includes both log f_ql(X_ij) and
         log f_lq(X_ji); for undirected graphs only the former.
@@ -267,6 +285,11 @@ class DecomposedScores:
             D += S @ (tau @ C.T)
             if self.directed:
                 D += S.T @ (tau @ C)
+        if self.mask is not None:
+            rest = tau.sum(axis=0) - tau  # M @ tau
+            D += rest @ self.mask.T
+            if self.directed:
+                D += rest @ self.mask
         return D
 
     def edge_term(self, tau):
@@ -274,12 +297,19 @@ class DecomposedScores:
         t = 0.0
         for S, C in zip(self.stats, self.coeffs):
             t += np.sum((tau.T @ S @ tau) * C)
-        return t if self.directed else 0.5 * t
+        if self.mask is not None:
+            col = tau.sum(axis=0)
+            t += np.sum((np.outer(col, col) - tau.T @ tau) * self.mask)
+        return (t if self.directed else 0.5 * t) + self.fixed
 
     def dense(self):
+        """(Q, Q, n, n) tensor of the block-dependent part (without ``fixed``)."""
         S = np.stack(self.stats)
         C = np.stack(self.coeffs)
-        return np.einsum("kql,kij->qlij", C, S)
+        L = np.einsum("kql,kij->qlij", C, S)
+        if self.mask is not None:
+            L += self.mask[:, :, None, None] * _offdiag_mask(S.shape[-1])
+        return L
 
     def gs_state(self, tau):
         return _DecomposedGS(self, tau)
@@ -287,6 +317,8 @@ class DecomposedScores:
 
 class DenseScores:
     """Fallback holding the full (Q, Q, n, n) log-density tensor."""
+
+    fixed = 0.0  # the tensor holds every term
 
     def __init__(self, tensor, directed):
         self.tensor = np.asarray(tensor)
@@ -319,6 +351,7 @@ class _DecomposedGS:
         self.tau = tau
         self.tc = [tau @ C.T for C in ops.coeffs]
         self.td = [tau @ C for C in ops.coeffs] if ops.directed else None
+        self.col = tau.sum(axis=0)  # running colsum(tau) for the mask term
 
     def row_score(self, i):
         s = 0.0
@@ -326,9 +359,16 @@ class _DecomposedGS:
             s = s + S[i, :] @ self.tc[k]
             if self.td is not None:
                 s = s + S[:, i] @ self.td[k]
+        mask = self.ops.mask
+        if mask is not None:
+            rest = self.col - self.tau[i]
+            s = s + mask @ rest
+            if self.td is not None:
+                s = s + rest @ mask
         return s
 
     def set_row(self, i, row):
+        self.col += row - self.tau[i]
         self.tau[i] = row
         for k, C in enumerate(self.ops.coeffs):
             self.tc[k][i] = row @ C.T
@@ -364,6 +404,18 @@ def _safe_log(a):
 
 def _offdiag_mask(n):
     return 1.0 - np.eye(n)
+
+
+def _pair_total(S, directed):
+    """sum of S_ij over the pairs (i != j, or i < j when undirected and S
+    is symmetric)."""
+    t = float(S.sum() - np.trace(S))
+    return t if directed else 0.5 * t
+
+
+def _zero_diagonal(S):
+    np.fill_diagonal(S, 0.0)
+    return S
 
 
 def _block_weights(tau, n):
@@ -484,14 +536,12 @@ class _PoissonFamily(_Family):
 
     def scorer(self, graph, cov):
         X = graph.scalar_values
-        M = _offdiag_mask(graph.n)
-        base = -gammaln(X + 1.0) * M
         directed = graph.directed
+        fixed = _pair_total(-gammaln(X + 1.0), directed)
 
         def make(params):
             lam = params.lam
-            coeffs = [_safe_log(lam), -lam, np.ones_like(lam)]
-            return DecomposedScores([X, M, base], coeffs, directed)
+            return DecomposedScores([X], [_safe_log(lam)], directed, mask=-lam, fixed=fixed)
 
         return make
 
@@ -563,20 +613,22 @@ class _PoissonRegFamily(_Family):
 
     def scorer(self, graph, cov):
         X = graph.scalar_values
-        M = _offdiag_mask(graph.n)
-        base = -gammaln(X + 1.0) * M
         Y = cov.y
         directed = graph.directed
 
         if self.shared:
+            log_fact = _pair_total(-gammaln(X + 1.0), directed)
+
             def make(params):
                 g = Y @ params.beta
-                E = np.exp(g) * M
-                stats = [X, X * g, E, base]
-                one = np.ones_like(params.lam)
-                coeffs = [_safe_log(params.lam), one, -params.lam, one]
-                return DecomposedScores(stats, coeffs, directed)
+                E = _zero_diagonal(np.exp(g))
+                fixed = log_fact + _pair_total(X * g, directed)
+                return DecomposedScores([X, E], [_safe_log(params.lam), -params.lam],
+                                        directed, fixed=fixed)
         else:
+            M = _offdiag_mask(graph.n)
+            base = -gammaln(X + 1.0) * M
+
             def make(params):
                 Q = params.Q
                 n = graph.n
@@ -673,13 +725,12 @@ class _BernoulliFamily(_Family):
 
     def scorer(self, graph, cov):
         X = graph.scalar_values
-        M = _offdiag_mask(graph.n)
         directed = graph.directed
 
         def make(params):
             logp = _safe_log(params.pi)
             log1mp = _safe_log(1.0 - params.pi)
-            return DecomposedScores([X, M], [logp - log1mp, log1mp], directed)
+            return DecomposedScores([X], [logp - log1mp], directed, mask=log1mp)
 
         return make
 
@@ -822,14 +873,13 @@ class _GaussianFamily(_Family):
 
     def scorer(self, graph, cov):
         X = graph.scalar_values
-        M = _offdiag_mask(graph.n)
         X2 = X * X
         directed = graph.directed
 
         def make(params):
             mu, s2 = params.mu, params.sigma2
             const = -0.5 * mu * mu / s2 - 0.5 * np.log(2.0 * np.pi * s2)
-            return DecomposedScores([X, X2, M], [mu / s2, -0.5 / s2, const], directed)
+            return DecomposedScores([X, X2], [mu / s2, -0.5 / s2], directed, mask=const)
 
         return make
 
@@ -909,7 +959,6 @@ class _BivariateGaussianFamily(_Family):
     def scorer(self, graph, cov):
         X1 = graph.values[:, :, 0]
         X2 = graph.values[:, :, 1]
-        M = _offdiag_mask(graph.n)
 
         def make(params):
             P, det = self._precision(params.cov)
@@ -917,10 +966,10 @@ class _BivariateGaussianFamily(_Family):
             pm = np.einsum("qlab,qlb->qla", P, mu)
             const = (-0.5 * np.einsum("qla,qla->ql", mu, pm)
                      - np.log(2.0 * np.pi) - 0.5 * np.log(det))
-            stats = [X1 * X1, X2 * X2, X1 * X2, X1, X2, M]
+            stats = [X1 * X1, X2 * X2, X1 * X2, X1, X2]
             coeffs = [-0.5 * P[..., 0, 0], -0.5 * P[..., 1, 1], -P[..., 0, 1],
-                      pm[..., 0], pm[..., 1], const]
-            return DecomposedScores(stats, coeffs, False)
+                      pm[..., 0], pm[..., 1]]
+            return DecomposedScores(stats, coeffs, False, mask=const)
 
         return make
 
@@ -1018,25 +1067,24 @@ class _LinearRegressionFamily(_Family):
 
     def scorer(self, graph, cov):
         X = graph.scalar_values
-        M = _offdiag_mask(graph.n)
         Y = cov.y
         p = cov.p
         XY = [X * Y[:, :, d] for d in range(p)]
-        YY = {(d, e): Y[:, :, d] * Y[:, :, e] * M for d in range(p) for e in range(d, p)}
+        YY = [_zero_diagonal(Y[:, :, d] * Y[:, :, e]) for d in range(p) for e in range(d, p)]
         X2 = X * X
         directed = graph.directed
 
         def make(params):
             beta, s2 = params.beta, params.sigma2
-            stats = [X2] + XY + [YY[(d, e)] for d in range(p) for e in range(d, p)] + [M]
+            stats = [X2] + XY + YY
             coeffs = [-0.5 / s2]
             coeffs += [beta[:, :, d] / s2 for d in range(p)]
             for d in range(p):
                 for e in range(d, p):
                     w = 1.0 if d == e else 2.0
                     coeffs.append(-0.5 * w * beta[:, :, d] * beta[:, :, e] / s2)
-            coeffs.append(-0.5 * np.log(2.0 * np.pi * s2))
-            return DecomposedScores(stats, coeffs, directed)
+            return DecomposedScores(stats, coeffs, directed,
+                                    mask=-0.5 * np.log(2.0 * np.pi * s2))
 
         return make
 
@@ -1125,21 +1173,18 @@ class _SimpleRegressionFamily(_Family):
 
     def scorer(self, graph, cov):
         X = graph.scalar_values
-        M = _offdiag_mask(graph.n)
-        Y = cov.y[:, :, 0] * M
-        XY = X * Y
-        X2 = X * X
-        Y2 = Y * Y
+        Y = _zero_diagonal(cov.y[:, :, 0].copy())
         directed = graph.directed
+        sxy = _pair_total(X * Y, directed)
+        sxx = _pair_total(X * X, directed)
+        syy = _pair_total(Y * Y, directed)
 
         def make(params):
             a, b, s2 = params.intercept, params.slope, params.sigma2
-            ones = np.ones_like(a)
-            stats = [X, XY, X2, Y, Y2, M]
-            coeffs = [a / s2, ones * (b / s2), ones * (-0.5 / s2),
-                      -a * b / s2, ones * (-0.5 * b * b / s2),
-                      -0.5 * a * a / s2 - 0.5 * np.log(2.0 * np.pi * s2) * ones]
-            return DecomposedScores(stats, coeffs, directed)
+            const = -0.5 * a * a / s2 - 0.5 * np.log(2.0 * np.pi * s2)
+            fixed = (b * sxy - 0.5 * sxx - 0.5 * b * b * syy) / s2
+            return DecomposedScores([X, Y], [a / s2, -a * b / s2], directed,
+                                    mask=const, fixed=fixed)
 
         return make
 
@@ -1502,4 +1547,8 @@ def theta_to_jsonable(spec: FamilySpec, params) -> dict:
 
 
 def theta_from_jsonable(spec: FamilySpec, data: dict):
-    return get_family(spec).params_from_jsonable(data)
+    """Parameters from their JSON form; invalid values raise FamilyError."""
+    fam = get_family(spec)
+    params = fam.params_from_jsonable(data)
+    fam.validate_params(params)
+    return params

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import families
 from .engine import FitResult, MixtureParams, VariationalPosterior
-from .errors import InputFormatError
+from .errors import FamilyError, InputFormatError
 from .families import FamilySpec
 from .graph import EdgeColumns, EdgeCovariates, ValuedGraph, attach_covariates, build_graph
 from .selection import SelectionResult
@@ -204,7 +204,7 @@ def fit_from_jsonable(data: dict):
             icl=data.get("icl"),
             spec=spec,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FamilyError) as exc:
         raise InputFormatError(f"malformed fit JSON: {exc}") from exc
     return fit, spec
 
@@ -246,23 +246,32 @@ def write_selection_table(path, result: SelectionResult, fmt="csv"):
         writer.writerows(rows)
 
 
+_PAIR_CHUNK = 1 << 16  # node pairs formatted per write
+
+
+def _floats(a):
+    return np.asarray(a, dtype=float).tolist()
+
+
 def write_prediction_csv(fh, report, directed):
-    """Single CSV stream with a record-type discriminator column."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["record", "i", "j", "observed", "predicted"])
+    """Single CSV stream with a record-type discriminator column.
+
+    Values are written as ``repr(float)``, which never needs quoting.  Edge
+    rows cover the pairs i < j (every i != j when directed) in row-major
+    order.
+    """
     n = report.observed_degrees.size
-    for i in range(n):
-        writer.writerow(["degree", i, "", repr(float(report.observed_degrees[i])),
-                         repr(float(report.predicted_degrees[i]))])
-    for i in range(n):
-        js = range(n) if directed else range(i + 1, n)
-        for j in js:
-            if i == j:
-                continue
-            writer.writerow(["edge", i, j, repr(float(report.observed_edges[i, j])),
-                             repr(float(report.predicted_edges[i, j]))])
-    writer.writerow(["r2", "degree", "", repr(float(report.r2_degrees)), ""])
-    writer.writerow(["r2", "edge", "", repr(float(report.r2_edges)), ""])
+    fh.write("record,i,j,observed,predicted\n")
+    fh.writelines(map("degree,{},,{!r},{!r}\n".format, range(n),
+                      _floats(report.observed_degrees), _floats(report.predicted_degrees)))
+    iu, ju = np.nonzero(~np.eye(n, dtype=bool)) if directed else np.triu_indices(n, 1)
+    for s in range(0, iu.size, _PAIR_CHUNK):
+        i, j = iu[s:s + _PAIR_CHUNK], ju[s:s + _PAIR_CHUNK]
+        fh.writelines(map("edge,{},{},{!r},{!r}\n".format, i.tolist(), j.tolist(),
+                          _floats(report.observed_edges[i, j]),
+                          _floats(report.predicted_edges[i, j])))
+    fh.write(f"r2,degree,,{float(report.r2_degrees)!r},\n")
+    fh.write(f"r2,edge,,{float(report.r2_edges)!r},\n")
 
 
 def write_report_csv(path, report):

@@ -219,3 +219,50 @@ def test_selection_json_is_strict(tmp_path, two_block_graph):
     data = json.loads(path.read_text(), parse_constant=refuse)
     assert data["sweep"][1]["ICL"] is None
     assert data["sweep"][0]["ICL"] == result.records[0].icl
+
+
+def test_fit_json_with_invalid_parameters_is_refused(two_block_graph, tmp_path):
+    g, _ = two_block_graph
+    data = fit_to_jsonable(bf.fit(g, POISSON, 2, seed=0, restarts=1))
+    data["theta"]["lam"] = [[-1.0, 0.5], [0.5, 2.0]]  # a negative Poisson rate
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(bf.InputFormatError, match="rates"):
+        read_fit_json(path)
+
+
+def _loop_prediction_csv(fh, report, directed):
+    """The per-pair ``csv`` writer that write_prediction_csv replaced."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["record", "i", "j", "observed", "predicted"])
+    n = report.observed_degrees.size
+    for i in range(n):
+        writer.writerow(["degree", i, "", repr(float(report.observed_degrees[i])),
+                         repr(float(report.predicted_degrees[i]))])
+    for i in range(n):
+        js = range(n) if directed else range(i + 1, n)
+        for j in js:
+            if i == j:
+                continue
+            writer.writerow(["edge", i, j, repr(float(report.observed_edges[i, j])),
+                             repr(float(report.predicted_edges[i, j]))])
+    writer.writerow(["r2", "degree", "", repr(float(report.r2_degrees)), ""])
+    writer.writerow(["r2", "edge", "", repr(float(report.r2_edges)), ""])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_prediction_csv_bytes_match_the_row_loop(directed, monkeypatch):
+    import io as pyio
+
+    from blockfit import io as bio
+    from blockfit.predict import prediction_report
+
+    params = MixtureParams(alpha=np.array([0.4, 0.6]),
+                           theta=PoissonParams(lam=np.array([[5.0, 0.3], [0.7, 2.0]])))
+    g, _ = bf.sample_graph(params, 9, directed, POISSON, seed=3)
+    report = prediction_report(bf.fit(g, POISSON, 2, seed=0, restarts=1), g)
+    monkeypatch.setattr(bio, "_PAIR_CHUNK", 5)  # several chunks, one cut mid-row
+    got, want = pyio.StringIO(), pyio.StringIO()
+    bio.write_prediction_csv(got, report, directed)
+    _loop_prediction_csv(want, report, directed)
+    assert got.getvalue() == want.getvalue()

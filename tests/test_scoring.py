@@ -1,0 +1,221 @@
+"""Score containers and the Ward start against direct evaluations.
+
+The decomposed scores are checked against the (Q, Q, n, n) tensor of
+scalar ``log_density`` values, which shares no code with the sum-of-products
+path; the Gram-matrix profile distances are checked against ``pdist`` on the
+explicit n x 2n profile matrix.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import pdist
+
+from blockfit import FamilySpec, ValuedGraph
+from blockfit.engine import _profile_distances, _softmax_rows, init_partition
+from blockfit.families import (
+    FAMILY_KINDS,
+    BernoulliParams,
+    BivariateGaussianParams,
+    DenseScores,
+    GaussianParams,
+    LinearRegressionParams,
+    MultinomialParams,
+    PoissonParams,
+    PoissonRegParams,
+    SimpleRegressionParams,
+    get_family,
+)
+from blockfit.graph import EdgeCovariates
+
+NUM_LABELS = 3
+P = 2  # covariate dimension (simplereg: 1)
+
+
+def _mirror(vals, directed, paired=False):
+    """Copy the upper triangle onto the lower one (couples swapped)."""
+    if directed:
+        return vals
+    upper = np.triu(np.ones(vals.shape[:2], dtype=bool), 1)
+    if paired:
+        return np.where(upper[:, :, None], vals, vals.transpose(1, 0, 2)[:, :, ::-1])
+    if vals.ndim == 3:
+        return np.where(upper[:, :, None], vals, vals.transpose(1, 0, 2))
+    return np.where(upper, vals, vals.T)
+
+
+def _profile(g):
+    if g.value_kind == "paired":
+        return np.hstack([g.values[:, :, 0], g.values[:, :, 1]])
+    return np.hstack([g.values, g.values.T])
+
+
+# ---------------------------------------------------------------------------
+# Ward start from Gram products
+
+INTEGER_KINDS = {
+    "count": ("count", lambda rng, shape: rng.integers(0, 10 ** 6, shape)),
+    "binary": ("count", lambda rng, shape: rng.integers(0, 2, shape)),
+    "label": ("label", lambda rng, shape: rng.integers(1, NUM_LABELS + 1, shape)),
+    "paired-int": ("paired", lambda rng, shape: rng.integers(-50, 50, shape)),
+}
+REAL_KINDS = {
+    "real": ("real", lambda rng, shape: rng.uniform(-1e3, 1e3, shape)),
+    "paired-real": ("paired", lambda rng, shape: rng.normal(0.0, 10.0, shape)),
+}
+
+
+def _draw_graph(data, kinds):
+    name = data.draw(st.sampled_from(sorted(kinds)))
+    value_kind, sample = kinds[name]
+    paired = value_kind == "paired"
+    directed = not paired and data.draw(st.booleans())
+    n = data.draw(st.integers(2, 9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    vals = sample(rng, (n, n, 2) if paired else (n, n)).astype(float)
+    vals = _mirror(vals, directed, paired)
+    return ValuedGraph.from_matrix(vals, directed, value_kind=value_kind,
+                                   num_labels=NUM_LABELS if value_kind == "label" else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gram_distances_are_pdist_bit_for_bit_on_integer_values(data):
+    g = _draw_graph(data, INTEGER_KINDS)
+    profile = _profile(g)
+    assert np.array_equal(_profile_distances(g), pdist(profile))
+    Q = data.draw(st.integers(2, g.n))
+    want = fcluster(linkage(profile, method="ward"), t=Q, criterion="maxclust") - 1
+    got = np.argmax(init_partition(g, Q).tau, axis=1)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gram_distances_match_pdist_on_real_values(data):
+    # cancellation in sq_i + sq_j - 2 G_ij is relative to the profile norms,
+    # so the bound is on squared distances at that scale
+    g = _draw_graph(data, REAL_KINDS)
+    profile = _profile(g)
+    sq = np.sum(profile * profile, axis=1)
+    iu, ju = np.triu_indices(g.n, 1)
+    got, want = _profile_distances(g), pdist(profile)
+    assert np.all(np.abs(got ** 2 - want ** 2) <= 1e-12 * (sq[iu] + sq[ju]))
+
+
+# ---------------------------------------------------------------------------
+# Decomposed scores: mask and fixed parts
+
+
+def _sym(a, directed):
+    return a if directed else 0.5 * (a + np.swapaxes(a, 0, 1))
+
+
+def _instance(kind, rng, n, Q, directed):
+    """(graph, covariates, params) for one family with random parameters."""
+    p = 1 if kind == "simplereg" else P
+    shape = (n, n)
+    value_kind = "count"
+    if kind in ("poisson", "poisson-prmh", "poisson-prmi"):
+        vals = rng.poisson(2.0, shape)
+    elif kind == "bernoulli":
+        vals = rng.integers(0, 2, shape)
+    elif kind == "multinomial":
+        vals, value_kind = rng.integers(1, NUM_LABELS + 1, shape), "label"
+    elif kind == "bigauss":
+        vals, value_kind = rng.normal(0.0, 1.5, (n, n, 2)), "paired"
+    else:
+        vals, value_kind = rng.normal(0.0, 1.5, shape), "real"
+    vals = _mirror(vals.astype(float), directed, value_kind == "paired")
+    g = ValuedGraph.from_matrix(vals, directed, value_kind=value_kind,
+                                num_labels=NUM_LABELS if kind == "multinomial" else None)
+    spec = FamilySpec(kind, num_labels=NUM_LABELS if kind == "multinomial" else None,
+                      covariate_dim=p if kind in ("poisson-prmh", "poisson-prmi",
+                                                  "linreg", "simplereg") else None)
+    cov = None
+    if spec.uses_covariates:
+        cov = EdgeCovariates.from_matrix(_mirror(rng.normal(0.0, 1.0, (n, n, p)), directed),
+                                         directed)
+
+    rates = _sym(rng.gamma(2.0, 1.0, (Q, Q)), directed)
+    params = {
+        "poisson": lambda: PoissonParams(lam=rates),
+        "poisson-prmh": lambda: PoissonRegParams(lam=rates, beta=rng.normal(0, 0.5, p)),
+        "poisson-prmi": lambda: PoissonRegParams(
+            lam=rates, beta=_sym(rng.normal(0, 0.5, (Q, Q, p)), directed), shared=False),
+        "bernoulli": lambda: BernoulliParams(pi=_sym(rng.uniform(0.05, 0.95, (Q, Q)), directed)),
+        "multinomial": lambda: MultinomialParams(
+            probs=_sym(rng.dirichlet(np.ones(NUM_LABELS), (Q, Q)), directed)),
+        "gaussian": lambda: GaussianParams(mu=_sym(rng.normal(0, 1, (Q, Q)), directed),
+                                           sigma2=_sym(rng.uniform(0.5, 2, (Q, Q)), directed)),
+        "bigauss": lambda: _bigauss_params(rng, Q),
+        "linreg": lambda: LinearRegressionParams(
+            beta=_sym(rng.normal(0, 1, (Q, Q, p)), directed),
+            sigma2=_sym(rng.uniform(0.5, 2, (Q, Q)), directed)),
+        "simplereg": lambda: SimpleRegressionParams(
+            intercept=_sym(rng.normal(0, 1, (Q, Q)), directed),
+            slope=float(rng.normal()), sigma2=float(rng.uniform(0.5, 2))),
+    }[kind]()
+    return g, cov, spec, params
+
+
+def _bigauss_params(rng, Q):
+    # undirected symmetry: block (l, q) sees the couple swapped
+    mu = rng.normal(0, 1, (Q, Q, 2))
+    mu = 0.5 * (mu + mu.transpose(1, 0, 2)[..., ::-1])
+    A = rng.normal(0, 0.5, (Q, Q, 2, 2))
+    cov = A @ np.swapaxes(A, -1, -2) + np.eye(2)
+    cov = 0.5 * (cov + cov.transpose(1, 0, 2, 3)[..., ::-1, ::-1])
+    return BivariateGaussianParams(mu=mu, cov=cov)
+
+
+def _oracle_tensor(g, cov, spec, params):
+    """L[q, l, i, j] = log f_ql(X_ij) from the scalar log-density, zero diagonal."""
+    fam = get_family(spec)
+    Q = params.Q
+    L = np.zeros((Q, Q, g.n, g.n))
+    for i in range(g.n):
+        for j in range(g.n):
+            if i == j:
+                continue
+            y = None if cov is None else cov.y[i, j]
+            for q in range(Q):
+                for l in range(Q):
+                    L[q, l, i, j] = fam.log_density(params, q, l, g.values[i, j], y=y)
+    return L
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(FAMILY_KINDS), directed=st.booleans(), n=st.integers(2, 6),
+       Q=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_scores_match_the_scalar_log_density(kind, directed, n, Q, seed):
+    directed = directed and kind != "bigauss"
+    rng = np.random.default_rng(seed)
+    g, cov, spec, params = _instance(kind, rng, n, Q, directed)
+    ops = get_family(spec).scorer(g, cov)(params)
+    L = _oracle_tensor(g, cov, spec, params)
+    oracle = DenseScores(L, directed)
+    tau = rng.dirichlet(np.ones(Q), size=n)
+    half = 1.0 if directed else 0.5
+
+    # J's edge term: decomposed, dense block tensor plus fixed, and the oracle
+    scale = max(1.0, half * np.einsum("iq,qlij,jl->", tau, np.abs(L), tau))
+    want = oracle.edge_term(tau)
+    assert abs(ops.edge_term(tau) - want) <= 1e-9 * scale
+    dense = half * np.einsum("iq,qlij,jl->", tau, ops.dense(), tau) + ops.fixed
+    assert abs(dense - want) <= 1e-9 * scale
+
+    # the E-step's proposal: node scores may differ from the oracle's by a
+    # row constant (the fixed part) but not in their softmax
+    log_alpha = np.log(rng.dirichlet(np.ones(Q)))
+    got = _softmax_rows(log_alpha + ops.node_scores(tau))
+    assert np.max(np.abs(got - _softmax_rows(log_alpha + oracle.node_scores(tau)))) <= 1e-12
+
+    # row-at-a-time scores stay equal to node_scores as rows change
+    state = ops.gs_state(tau.copy())
+    for i in rng.permutation(n)[: max(1, n // 2)]:
+        state.set_row(i, rng.dirichlet(np.ones(Q)))
+    D = ops.node_scores(state.tau)
+    for i in range(n):
+        np.testing.assert_allclose(state.row_score(i), D[i], rtol=1e-12, atol=1e-12)
