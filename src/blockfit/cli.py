@@ -15,7 +15,7 @@ import numpy as np
 from . import io as bio
 from .engine import fit
 from .errors import BlockfitError, GraphBuildError, InputFormatError, NumericalError
-from .families import FamilySpec
+from .families import FAMILIES, FAMILY_KINDS, FamilySpec
 from .graph import ValuedGraph
 from .predict import prediction_report
 from .selection import icl, select_q
@@ -25,15 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
-
-_FAMILY_CHOICES = ("bernoulli", "multinomial", "gaussian", "bigauss", "poisson",
-                   "poisson-prmh", "poisson-prmi", "linreg", "simplereg")
-
-_VALUE_KIND = {
-    "bernoulli": "count", "multinomial": "label", "gaussian": "real",
-    "bigauss": "paired", "poisson": "count", "poisson-prmh": "count",
-    "poisson-prmi": "count", "linreg": "real", "simplereg": "real",
-}
 
 
 def _n_jobs(args):
@@ -54,7 +45,7 @@ def _spec_from_args(args, cov):
 
 def _load_inputs(args):
     g = bio.load_graph(args.edges, directed=args.directed,
-                       value_kind=_VALUE_KIND[args.family],
+                       value_kind=FAMILIES[args.family].value_kind,
                        num_labels=getattr(args, "labels", None),
                        n=args.n, fill=args.fill)
     cov = bio.load_covariates(g, args.cov) if args.cov else None
@@ -79,7 +70,7 @@ def _fit_options(args):
 def _add_common_fit_flags(sub):
     sub.add_argument("--edges", required=True, help="edge-list CSV (i,j,value)")
     sub.add_argument("--cov", help="covariate CSV (i,j,y1..yp)")
-    sub.add_argument("--family", default="poisson", choices=_FAMILY_CHOICES)
+    sub.add_argument("--family", default="poisson", choices=FAMILY_KINDS)
     sub.add_argument("--labels", type=int, help="label count m (multinomial)")
     sub.add_argument("--directed", action="store_true")
     sub.add_argument("--n", type=int, help="node count (default: inferred)")
@@ -174,7 +165,7 @@ def cmd_simulate(args):
 def cmd_predict(args):
     result, spec, data = bio.read_fit_json(args.fit)
     g = bio.load_graph(args.edges, directed=bool(data.get("directed", False)),
-                       value_kind=_VALUE_KIND[spec.kind],
+                       value_kind=FAMILIES[spec.kind].value_kind,
                        num_labels=spec.num_labels, n=data.get("n"), fill=args.fill)
     cov = bio.load_covariates(g, args.cov) if args.cov else None
     if spec.uses_covariates and cov is None:

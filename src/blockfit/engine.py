@@ -58,6 +58,8 @@ class MixtureParams:
         if np.any(self.alpha < -1e-12) or abs(self.alpha.sum() - 1.0) > 1e-8:
             raise BlockfitError("alpha must be nonnegative and sum to 1")
         self.Q = self.alpha.size
+        if self.theta.Q != self.Q:
+            raise FamilyError(f"theta has Q={self.theta.Q} groups but alpha has {self.Q}")
 
 
 @dataclass
@@ -157,10 +159,11 @@ def classification_entropy(tau) -> float:
 
 
 def _estep_jacobi(ops, log_alpha, tau0, tol, max_sweeps):
-    """Synchronous fixed-point sweeps.  Returns (tau, converged, best pair)."""
+    """Synchronous fixed-point sweeps.  Returns (tau, J, converged, best
+    tau, entry J); the best tau's bound is at least the entry J."""
     tau = tau0
     D = ops.node_scores(tau)
-    j_cur = _bound_from_scores(ops, tau, D, log_alpha)
+    j_init = j_cur = _bound_from_scores(ops, tau, D, log_alpha)
     best_j, best_tau = j_cur, tau
     prev_resid = np.inf
     damp = 1.0
@@ -179,7 +182,7 @@ def _estep_jacobi(ops, log_alpha, tau0, tol, max_sweeps):
         j_cur = _bound_from_scores(ops, tau, D, log_alpha)
         if j_cur > best_j:
             best_j, best_tau = j_cur, tau
-    return tau, j_cur, converged, best_j, best_tau
+    return tau, j_cur, converged, best_tau, j_init
 
 
 def _estep_gauss_seidel(ops, log_alpha, tau, tol, max_sweeps):
@@ -204,14 +207,12 @@ def _estep_gauss_seidel(ops, log_alpha, tau, tol, max_sweeps):
 
 
 def _estep_core(ops, log_alpha, tau0, tol, max_sweeps):
-    j_init = _bound_from_scores(ops, tau0, ops.node_scores(tau0), log_alpha)
-    tau, j_cur, converged, best_j, best_tau = _estep_jacobi(
+    tau, j_cur, converged, best_tau, j_init = _estep_jacobi(
         ops, log_alpha, tau0, tol, max_sweeps)
     if converged and j_cur >= j_init - 1e-9 * max(1.0, abs(j_init)):
         return tau, True
     # fall back to guaranteed-monotone coordinate ascent from the best iterate
-    start = best_tau if best_j >= j_init else tau0
-    return _estep_gauss_seidel(ops, log_alpha, start, tol, max_sweeps)
+    return _estep_gauss_seidel(ops, log_alpha, best_tau, tol, max_sweeps)
 
 
 def estep_fixed_point(graph: ValuedGraph, spec, params: MixtureParams, tau_init,

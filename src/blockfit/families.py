@@ -15,8 +15,14 @@ Every family answers three questions for the fitting engine:
 * estimation -- the maximizer of the weighted log-likelihood
   sum_{i != j} tau_iq tau_jl log f_ql(X_ij), closed form where available,
   Newton on the weighted GLM objective for the Poisson regressions;
-* bookkeeping -- independent-parameter counts, sampling, block means,
-  JSON round-trip.
+* bookkeeping -- sampling and block means per family; the rest comes from
+  two tables.  The registry :data:`FAMILIES` maps each kind to its class,
+  the value kind of its graphs (read by the CLI, sampling and
+  ``check_graph``), its use of covariates and its parameter arrays, each
+  block-wise (leading (Q, Q) axes) or shared, with a trailing shape and a
+  domain.  :class:`BlockParams`, the one parameter record, validates those
+  arrays when it is built and derives ``Q``, ``permute``, the JSON round
+  trip and :func:`param_count` from the same row.
 
 Blocks whose total weight falls below ``DEGENERATE_REL_TOL`` times the
 overall weight keep their previous parameter value and are flagged in the
@@ -26,7 +32,8 @@ with NaNs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -55,20 +62,6 @@ REG_REL_TOL = 1e-8
 REG_GRAD_TOL = 1e-8
 REG_BETA_BOUND = 1e3
 
-FAMILY_KINDS = (
-    "bernoulli",
-    "multinomial",
-    "gaussian",
-    "bigauss",
-    "poisson",
-    "poisson-prmh",
-    "poisson-prmi",
-    "linreg",
-    "simplereg",
-)
-
-_COVARIATE_KINDS = ("poisson-prmh", "poisson-prmi", "linreg", "simplereg")
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -90,160 +83,203 @@ class FamilySpec:
     covariate_dim: int | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILIES:
             raise FamilyError(f"unknown family kind {self.kind!r}")
-        if self.kind == "multinomial" and (self.num_labels is None or self.num_labels < 2):
-            raise FamilyError("multinomial family requires num_labels >= 2")
-        if self.kind in _COVARIATE_KINDS:
+        dims = {d for a in FAMILIES[self.kind].params for d in a.shape}
+        if "m" in dims and (self.num_labels is None or self.num_labels < 2):
+            raise FamilyError(f"{self.kind} family requires num_labels >= 2")
+        if self.uses_covariates:
             p = 1 if self.covariate_dim is None else self.covariate_dim
-            if self.kind == "simplereg" and p != 1:
-                raise FamilyError("simplereg uses a scalar covariate (p = 1)")
+            # a family with no p-sized parameter has one slope: scalar covariate
+            if "p" not in dims and p != 1:
+                raise FamilyError(f"{self.kind} uses a scalar covariate (p = 1)")
             if p < 1:
                 raise FamilyError("covariate dimension must be >= 1")
             object.__setattr__(self, "covariate_dim", p)
 
     @property
     def uses_covariates(self) -> bool:
-        return self.kind in _COVARIATE_KINDS
+        return FAMILIES[self.kind].covariates
 
     @property
     def shared_params(self) -> str | None:
-        """Description of parameters shared across all (q, l) blocks."""
-        return {
-            "poisson-prmh": "beta (regression coefficients)",
-            "simplereg": "b (slope) and sigma2",
-        }.get(self.kind)
+        """Names of the parameters shared across all (q, l) blocks."""
+        return ", ".join(a.name for a in FAMILIES[self.kind].params if not a.blockwise) or None
+
+
+def _spec_sizes(spec: FamilySpec) -> dict:
+    """Values of the symbolic trailing sizes of :class:`ParamArray`."""
+    return {"p": spec.covariate_dim, "m": spec.num_labels}
 
 
 # ---------------------------------------------------------------------------
-# Block-parameter records
+# Parameter records
 
 
-@dataclass
-class PoissonParams:
-    lam: np.ndarray  # (Q, Q) rates
-    degenerate: np.ndarray | None = None
+def _finite(a):
+    return None if np.all(np.isfinite(a)) else "must be finite"
 
-    @property
-    def Q(self):
-        return self.lam.shape[0]
+
+def _nonnegative(a):
+    return None if np.all(np.isfinite(a) & (a >= 0)) else "must be finite and >= 0"
+
+
+def _unit(a):
+    return None if np.all((a >= 0) & (a <= 1)) else "must lie in [0, 1]"
+
+
+def _simplex(a):
+    return _unit(a) or (None if np.allclose(a.sum(axis=-1), 1.0, atol=1e-8)
+                        else "must sum to 1 over the labels")
+
+
+def _positive(a):
+    return None if np.all(a > 0) else "must be > 0"
+
+
+def _spd2(a):
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    if not np.all((a[..., 0, 0] > 0) & (det > 0)):
+        return "must be positive definite"
+    return None if np.allclose(a[..., 0, 1], a[..., 1, 0]) else "must be symmetric"
+
+
+@dataclass(frozen=True)
+class ParamArray:
+    """One named parameter array in a family's row of :data:`FAMILIES`.
+
+    A ``blockwise`` array has leading (Q, Q) axes, one value per block
+    (q, l); a shared one holds a single value for all blocks.  ``shape`` is
+    the trailing shape, in which "p" stands for the covariate dimension and
+    "m" for the number of labels.  ``domain`` maps the array to None or to
+    what is wrong with it, and ``what`` names the array in that message.
+    """
+
+    name: str
+    blockwise: bool
+    shape: tuple
+    domain: object
+    what: str
+
+    def dof(self, sizes) -> int:
+        """Independent values per block (block-wise) or in all (shared)."""
+        shape = [sizes.get(d, d) for d in self.shape]
+        size = int(np.prod(shape))
+        if self.domain is _simplex:
+            return size - size // shape[-1]
+        return 3 if self.domain is _spd2 else size
+
+
+class BlockParams:
+    """Connectivity parameters theta of one family kind.
+
+    Each array of the kind's row in :data:`FAMILIES` is an attribute
+    (``theta.lam``), as are the row's flags (``theta.shared``), ``Q`` and
+    ``degenerate``, the (Q, Q) mask of blocks the last M-step froze.  The
+    record is validated once, here, whichever way it is built (M-step, fit
+    JSON, user code): block-wise arrays are (Q, Q, *trailing) with one Q,
+    shared arrays have their trailing shape, the sizes "p" and "m" agree
+    across arrays and with ``sizes`` when given, and values lie in their
+    domains; otherwise FamilyError.
+    """
+
+    def __init__(self, kind, degenerate=None, *, sizes=None, **values):
+        if kind not in FAMILIES:
+            raise FamilyError(f"unknown family kind {kind!r}")
+        row = FAMILIES[kind]
+        sizes = {d: n for d, n in (sizes or {}).items() if n is not None}
+        Q = None
+        for arr in row.params:
+            a = np.asarray(values.pop(arr.name), dtype=float)
+            if a.size == 0:
+                raise FamilyError(f"{arr.name} must not be empty")
+            if arr.blockwise and Q is None:
+                Q = a.shape[0] if a.ndim else "Q"
+            lead = (Q, Q) if arr.blockwise else ()
+            if a.ndim == len(lead) + len(arr.shape):
+                for d, n in zip(arr.shape, a.shape[len(lead):]):
+                    if isinstance(d, str):
+                        sizes.setdefault(d, n)
+            want = lead + tuple(sizes.get(d, d) for d in arr.shape)
+            if a.shape != want:
+                raise FamilyError(
+                    f"{arr.name} must have shape ({', '.join(map(str, want))}), got {a.shape}")
+            problem = arr.domain(a)
+            if problem:
+                raise FamilyError(f"{arr.what} {problem}")
+            setattr(self, arr.name, a)
+        if values:
+            raise TypeError(f"unexpected {kind} parameters: {', '.join(values)}")
+        if degenerate is not None:
+            degenerate = np.asarray(degenerate, dtype=bool)
+            if degenerate.shape != (Q, Q):
+                raise FamilyError(f"degenerate must have shape ({Q}, {Q}), got {degenerate.shape}")
+        self.kind, self.Q, self.degenerate = kind, Q, degenerate
+        for flag, value in row.flags:
+            setattr(self, flag, value)
+
+    def arrays(self) -> dict:
+        """The parameter arrays by name, in table order."""
+        return {a.name: getattr(self, a.name) for a in FAMILIES[self.kind].params}
 
     def permute(self, perm):
-        return replace(self, lam=self.lam[np.ix_(perm, perm)],
-                       degenerate=_perm2(self.degenerate, perm))
-
-
-@dataclass
-class PoissonRegParams:
-    lam: np.ndarray                 # (Q, Q) baseline rates
-    beta: np.ndarray                # (p,) shared, or (Q, Q, p) per block
-    shared: bool = True
-    degenerate: np.ndarray | None = None
-
-    @property
-    def Q(self):
-        return self.lam.shape[0]
-
-    def permute(self, perm):
-        beta = self.beta if self.shared else self.beta[np.ix_(perm, perm)]
-        return replace(self, lam=self.lam[np.ix_(perm, perm)], beta=beta,
-                       degenerate=_perm2(self.degenerate, perm))
-
-
-@dataclass
-class BernoulliParams:
-    pi: np.ndarray  # (Q, Q) edge probabilities
-    degenerate: np.ndarray | None = None
-
-    @property
-    def Q(self):
-        return self.pi.shape[0]
-
-    def permute(self, perm):
-        return replace(self, pi=self.pi[np.ix_(perm, perm)],
-                       degenerate=_perm2(self.degenerate, perm))
-
-
-@dataclass
-class MultinomialParams:
-    probs: np.ndarray  # (Q, Q, m) label probabilities
-    degenerate: np.ndarray | None = None
-
-    @property
-    def Q(self):
-        return self.probs.shape[0]
-
-    def permute(self, perm):
-        return replace(self, probs=self.probs[np.ix_(perm, perm)],
-                       degenerate=_perm2(self.degenerate, perm))
-
-
-@dataclass
-class GaussianParams:
-    mu: np.ndarray      # (Q, Q)
-    sigma2: np.ndarray  # (Q, Q)
-    degenerate: np.ndarray | None = None
-
-    @property
-    def Q(self):
-        return self.mu.shape[0]
-
-    def permute(self, perm):
+        """The same parameters with classes relabeled: block (q, l) of the
+        result is block (perm[q], perm[l]) of this record."""
         ix = np.ix_(perm, perm)
-        return replace(self, mu=self.mu[ix], sigma2=self.sigma2[ix],
-                       degenerate=_perm2(self.degenerate, perm))
+        blockwise = {a.name for a in FAMILIES[self.kind].params if a.blockwise}
+        values = {k: v[ix] if k in blockwise else v for k, v in self.arrays().items()}
+        return BlockParams(self.kind, None if self.degenerate is None else self.degenerate[ix],
+                           **values)
+
+    def __repr__(self):
+        values = ", ".join(f"{k}={v!r}" for k, v in self.arrays().items())
+        return f"BlockParams({self.kind!r}, {values})"
 
 
-@dataclass
-class BivariateGaussianParams:
-    mu: np.ndarray   # (Q, Q, 2)
-    cov: np.ndarray  # (Q, Q, 2, 2)
-    degenerate: np.ndarray | None = None
-
-    @property
-    def Q(self):
-        return self.mu.shape[0]
-
-    def permute(self, perm):
-        ix = np.ix_(perm, perm)
-        return replace(self, mu=self.mu[ix], cov=self.cov[ix],
-                       degenerate=_perm2(self.degenerate, perm))
+# Constructors of the records, one per family (PoissonRegParams serves both
+# Poisson regressions); they take the arrays of the table row by name.
 
 
-@dataclass
-class LinearRegressionParams:
-    beta: np.ndarray    # (Q, Q, p)
-    sigma2: np.ndarray  # (Q, Q)
-    degenerate: np.ndarray | None = None
-
-    @property
-    def Q(self):
-        return self.beta.shape[0]
-
-    def permute(self, perm):
-        ix = np.ix_(perm, perm)
-        return replace(self, beta=self.beta[ix], sigma2=self.sigma2[ix],
-                       degenerate=_perm2(self.degenerate, perm))
+def PoissonParams(lam, degenerate=None) -> BlockParams:
+    """Poisson mixture (PM): rates ``lam`` (Q, Q)."""
+    return BlockParams("poisson", degenerate, lam=lam)
 
 
-@dataclass
-class SimpleRegressionParams:
-    intercept: np.ndarray  # (Q, Q) block intercepts
-    slope: float           # shared
-    sigma2: float          # shared
-    degenerate: np.ndarray | None = None
-
-    @property
-    def Q(self):
-        return self.intercept.shape[0]
-
-    def permute(self, perm):
-        return replace(self, intercept=self.intercept[np.ix_(perm, perm)],
-                       degenerate=_perm2(self.degenerate, perm))
+def PoissonRegParams(lam, beta, shared=True, degenerate=None) -> BlockParams:
+    """Poisson regression: rates ``lam`` (Q, Q), coefficients ``beta`` (p,)
+    for PRMH (``shared``) or (Q, Q, p) for PRMI."""
+    return BlockParams("poisson-prmh" if shared else "poisson-prmi", degenerate,
+                       lam=lam, beta=beta)
 
 
-def _perm2(mask, perm):
-    return None if mask is None else mask[np.ix_(perm, perm)]
+def BernoulliParams(pi, degenerate=None) -> BlockParams:
+    """Bernoulli: edge probabilities ``pi`` (Q, Q)."""
+    return BlockParams("bernoulli", degenerate, pi=pi)
+
+
+def MultinomialParams(probs, degenerate=None) -> BlockParams:
+    """Multinomial: label probabilities ``probs`` (Q, Q, m)."""
+    return BlockParams("multinomial", degenerate, probs=probs)
+
+
+def GaussianParams(mu, sigma2, degenerate=None) -> BlockParams:
+    """Gaussian: means ``mu`` and variances ``sigma2``, both (Q, Q)."""
+    return BlockParams("gaussian", degenerate, mu=mu, sigma2=sigma2)
+
+
+def BivariateGaussianParams(mu, cov, degenerate=None) -> BlockParams:
+    """Bivariate Gaussian: means ``mu`` (Q, Q, 2), covariances ``cov`` (Q, Q, 2, 2)."""
+    return BlockParams("bigauss", degenerate, mu=mu, cov=cov)
+
+
+def LinearRegressionParams(beta, sigma2, degenerate=None) -> BlockParams:
+    """Linear regression: coefficients ``beta`` (Q, Q, p), variances ``sigma2`` (Q, Q)."""
+    return BlockParams("linreg", degenerate, beta=beta, sigma2=sigma2)
+
+
+def SimpleRegressionParams(intercept, slope, sigma2, degenerate=None) -> BlockParams:
+    """Simple regression: ``intercept`` (Q, Q), shared ``slope`` and ``sigma2``."""
+    return BlockParams("simplereg", degenerate, intercept=intercept, slope=slope, sigma2=sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +490,21 @@ def _symmetrize(a):
 
 
 class _Family:
-    kind = None
-    uses_covariates = False
-
     def __init__(self, spec: FamilySpec):
         self.spec = spec
+        self.kind = spec.kind
 
     # -- validation ---------------------------------------------------------
 
-    def validate_params(self, params):
-        raise NotImplementedError
-
     def check_graph(self, graph: ValuedGraph, cov):
-        if self.uses_covariates and cov is None:
+        if self.spec.uses_covariates and cov is None:
             raise FamilyError(f"family {self.kind!r} requires edge covariates")
-        if self.uses_covariates and cov.p != self.spec.covariate_dim:
+        if self.spec.uses_covariates and cov.p != self.spec.covariate_dim:
             raise FamilyError(
                 f"covariate dimension {cov.p} does not match spec p={self.spec.covariate_dim}")
+        entry = FAMILIES[self.kind]
+        if entry.strict_kind and graph.value_kind != entry.value_kind:
+            raise FamilyError(f"{self.kind} family expects {entry.value_kind} values")
 
     # -- scoring ------------------------------------------------------------
 
@@ -487,29 +521,21 @@ class _Family:
     def weighted_mle(self, tau, graph, cov, prev=None):
         raise NotImplementedError
 
-    def param_count(self, Q, directed):
-        raise NotImplementedError
-
     # -- sampling / prediction ----------------------------------------------
 
     def sample_matrix(self, params, z, rng, cov, directed):
         raise NotImplementedError
 
     def predicted_matrix(self, params, tau, graph, cov):
-        """X_hat[i, j] = sum_ql tau_iq tau_jl E[X_ij | q, l]."""
-        raise NotImplementedError
+        """X_hat[i, j] = sum_ql tau_iq tau_jl E[X_ij | q, l]; this default
+        serves the families whose block means do not depend on covariates."""
+        out = tau @ self.block_means(params) @ tau.T
+        np.fill_diagonal(out, 0.0)
+        return out
 
     def block_means(self, params):
         """Per-block mean value, when it does not depend on covariates."""
         return None
-
-    # -- serialization -------------------------------------------------------
-
-    def params_to_jsonable(self, params):
-        raise NotImplementedError
-
-    def params_from_jsonable(self, data):
-        raise NotImplementedError
 
 
 def _blockify(a, z):
@@ -517,23 +543,17 @@ def _blockify(a, z):
     return a[np.ix_(z, z)]
 
 
-def _mirror_upper(x):
-    u = np.triu(x, 1)
+def _edge_matrix(X, directed):
+    """Sampled values with a zero diagonal; undirected graphs keep the upper
+    triangle, mirrored."""
+    np.fill_diagonal(X, 0.0)
+    if directed:
+        return X
+    u = np.triu(X, 1)
     return u + u.T
 
 
 class _PoissonFamily(_Family):
-    kind = "poisson"
-
-    def validate_params(self, params):
-        if np.any(params.lam < 0) or not np.all(np.isfinite(params.lam)):
-            raise FamilyError("Poisson rates must be finite and >= 0")
-
-    def check_graph(self, graph, cov):
-        super().check_graph(graph, cov)
-        if graph.value_kind != "count":
-            raise FamilyError("Poisson family expects count values")
-
     def scorer(self, graph, cov):
         X = graph.scalar_values
         directed = graph.directed
@@ -547,8 +567,6 @@ class _PoissonFamily(_Family):
 
     def log_density(self, params, q, l, x, y=None):
         lam = float(params.lam[q, l])
-        if lam < 0:
-            raise FamilyError("Poisson rate must be >= 0")
         loglam = np.log(lam) if lam > 0 else LOG_ZERO
         return float(x * loglam - lam - gammaln(x + 1.0))
 
@@ -563,53 +581,19 @@ class _PoissonFamily(_Family):
             lam = _symmetrize(lam)
         return PoissonParams(lam=lam, degenerate=degen)
 
-    def param_count(self, Q, directed):
-        return Q * Q if directed else Q * (Q + 1) // 2
-
     def sample_matrix(self, params, z, rng, cov, directed):
         R = _blockify(params.lam, z)
         X = rng.poisson(R).astype(float)
-        np.fill_diagonal(X, 0.0)
-        return X if directed else _mirror_upper(X)
-
-    def predicted_matrix(self, params, tau, graph, cov):
-        out = tau @ params.lam @ tau.T
-        np.fill_diagonal(out, 0.0)
-        return out
+        return _edge_matrix(X, directed)
 
     def block_means(self, params):
         return params.lam
 
-    def params_to_jsonable(self, params):
-        return {"lam": params.lam.tolist()}
-
-    def params_from_jsonable(self, data):
-        return PoissonParams(lam=np.asarray(data["lam"], dtype=float))
-
 
 class _PoissonRegFamily(_Family):
-    uses_covariates = True
-
     def __init__(self, spec):
         super().__init__(spec)
-        self.shared = spec.kind == "poisson-prmh"
-        self.kind = spec.kind
-
-    def validate_params(self, params):
-        if np.any(params.lam < 0) or not np.all(np.isfinite(params.lam)):
-            raise FamilyError("Poisson rates must be finite and >= 0")
-        if not np.all(np.isfinite(params.beta)):
-            raise FamilyError("regression coefficients must be finite")
-
-    def check_graph(self, graph, cov):
-        super().check_graph(graph, cov)
-        if graph.value_kind != "count":
-            raise FamilyError("Poisson family expects count values")
-
-    def _rate_exponent(self, params, cov):
-        if self.shared:
-            return cov.y @ params.beta  # (n, n)
-        return None
+        self.shared = dict(FAMILIES[spec.kind].flags)["shared"]
 
     def scorer(self, graph, cov):
         X = graph.scalar_values
@@ -643,13 +627,9 @@ class _PoissonRegFamily(_Family):
         return make
 
     def log_density(self, params, q, l, x, y=None):
-        if y is None:
-            raise FamilyError("covariate vector required for Poisson regression families")
         y = np.atleast_1d(np.asarray(y, dtype=float))
         beta = params.beta if self.shared else params.beta[q, l]
         lam = float(params.lam[q, l])
-        if lam < 0:
-            raise FamilyError("Poisson rate must be >= 0")
         g = float(beta @ y)
         loglam = np.log(lam) if lam > 0 else LOG_ZERO
         return float(x * (loglam + g) - lam * np.exp(g) - gammaln(x + 1.0))
@@ -666,11 +646,6 @@ class _PoissonRegFamily(_Family):
                 beta = _symmetrize(beta)
         return PoissonRegParams(lam=lam, beta=beta, shared=self.shared, degenerate=degen)
 
-    def param_count(self, Q, directed):
-        blocks = Q * Q if directed else Q * (Q + 1) // 2
-        p = self.spec.covariate_dim
-        return blocks + p if self.shared else blocks * (1 + p)
-
     def sample_matrix(self, params, z, rng, cov, directed):
         if self.shared:
             g = cov.y @ params.beta
@@ -679,8 +654,7 @@ class _PoissonRegFamily(_Family):
             g = np.einsum("ijd,ijd->ij", cov.y, B)
         R = _blockify(params.lam, z) * np.exp(g)
         X = rng.poisson(R).astype(float)
-        np.fill_diagonal(X, 0.0)
-        return X if directed else _mirror_upper(X)
+        return _edge_matrix(X, directed)
 
     def predicted_matrix(self, params, tau, graph, cov):
         if self.shared:
@@ -699,23 +673,8 @@ class _PoissonRegFamily(_Family):
         # baseline intensity at y = 0
         return params.lam
 
-    def params_to_jsonable(self, params):
-        return {"lam": params.lam.tolist(), "beta": params.beta.tolist(),
-                "shared": params.shared}
-
-    def params_from_jsonable(self, data):
-        return PoissonRegParams(lam=np.asarray(data["lam"], dtype=float),
-                                beta=np.asarray(data["beta"], dtype=float),
-                                shared=bool(data.get("shared", self.shared)))
-
 
 class _BernoulliFamily(_Family):
-    kind = "bernoulli"
-
-    def validate_params(self, params):
-        if np.any(params.pi < 0) or np.any(params.pi > 1):
-            raise FamilyError("Bernoulli probabilities must lie in [0, 1]")
-
     def check_graph(self, graph, cov):
         super().check_graph(graph, cov)
         X = graph.scalar_values
@@ -736,8 +695,6 @@ class _BernoulliFamily(_Family):
 
     def log_density(self, params, q, l, x, y=None):
         pi = float(params.pi[q, l])
-        if not 0.0 <= pi <= 1.0:
-            raise FamilyError("Bernoulli probability must lie in [0, 1]")
         logp = np.log(pi) if pi > 0 else LOG_ZERO
         log1mp = np.log(1 - pi) if pi < 1 else LOG_ZERO
         return float(x * (logp - log1mp) + log1mp)
@@ -753,44 +710,18 @@ class _BernoulliFamily(_Family):
             pi = _symmetrize(pi)
         return BernoulliParams(pi=pi, degenerate=degen)
 
-    def param_count(self, Q, directed):
-        return Q * Q if directed else Q * (Q + 1) // 2
-
     def sample_matrix(self, params, z, rng, cov, directed):
         P = _blockify(params.pi, z)
         X = (rng.random(P.shape) < P).astype(float)
-        np.fill_diagonal(X, 0.0)
-        return X if directed else _mirror_upper(X)
-
-    def predicted_matrix(self, params, tau, graph, cov):
-        out = tau @ params.pi @ tau.T
-        np.fill_diagonal(out, 0.0)
-        return out
+        return _edge_matrix(X, directed)
 
     def block_means(self, params):
         return params.pi
 
-    def params_to_jsonable(self, params):
-        return {"pi": params.pi.tolist()}
-
-    def params_from_jsonable(self, data):
-        return BernoulliParams(pi=np.asarray(data["pi"], dtype=float))
-
 
 class _MultinomialFamily(_Family):
-    kind = "multinomial"
-
-    def validate_params(self, params):
-        p = params.probs
-        if np.any(p < 0) or np.any(p > 1):
-            raise FamilyError("label probabilities must lie in [0, 1]")
-        if not np.allclose(p.sum(axis=-1), 1.0, atol=1e-8):
-            raise FamilyError("label probability vectors must sum to 1")
-
     def check_graph(self, graph, cov):
         super().check_graph(graph, cov)
-        if graph.value_kind != "label":
-            raise FamilyError("multinomial family expects label values")
         if graph.num_labels != self.spec.num_labels:
             raise FamilyError("graph num_labels does not match the family spec")
 
@@ -833,44 +764,20 @@ class _MultinomialFamily(_Family):
             probs = _symmetrize(probs)
         return MultinomialParams(probs=probs, degenerate=degen)
 
-    def param_count(self, Q, directed):
-        blocks = Q * Q if directed else Q * (Q + 1) // 2
-        return (self.spec.num_labels - 1) * blocks
-
     def sample_matrix(self, params, z, rng, cov, directed):
         P = _blockify(params.probs, z)  # (n, n, m)
         cdf = np.cumsum(P, axis=-1)
         u = rng.random(P.shape[:2])
         X = 1.0 + np.sum(u[:, :, None] > cdf, axis=-1)
         X = np.minimum(X, self.spec.num_labels).astype(float)
-        np.fill_diagonal(X, 0.0)
-        return X if directed else _mirror_upper(X)
-
-    def predicted_matrix(self, params, tau, graph, cov):
-        out = tau @ self.block_means(params) @ tau.T
-        np.fill_diagonal(out, 0.0)
-        return out
+        return _edge_matrix(X, directed)
 
     def block_means(self, params):
         labels = np.arange(1, self.spec.num_labels + 1, dtype=float)
         return params.probs @ labels
 
-    def params_to_jsonable(self, params):
-        return {"probs": params.probs.tolist()}
-
-    def params_from_jsonable(self, data):
-        return MultinomialParams(probs=np.asarray(data["probs"], dtype=float))
-
 
 class _GaussianFamily(_Family):
-    kind = "gaussian"
-
-    def validate_params(self, params):
-        if np.any(params.sigma2 <= 0):
-            raise FamilyError("Gaussian variances must be > 0")
-        if not np.all(np.isfinite(params.mu)):
-            raise FamilyError("Gaussian means must be finite")
-
     def scorer(self, graph, cov):
         X = graph.scalar_values
         X2 = X * X
@@ -885,8 +792,6 @@ class _GaussianFamily(_Family):
 
     def log_density(self, params, q, l, x, y=None):
         mu, s2 = float(params.mu[q, l]), float(params.sigma2[q, l])
-        if s2 <= 0:
-            raise FamilyError("Gaussian variance must be > 0")
         return float(-0.5 * (x - mu) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2))
 
     def weighted_mle(self, tau, graph, cov, prev=None):
@@ -903,49 +808,17 @@ class _GaussianFamily(_Family):
             mu, sigma2 = _symmetrize(mu), _symmetrize(sigma2)
         return GaussianParams(mu=mu, sigma2=sigma2, degenerate=degen)
 
-    def param_count(self, Q, directed):
-        blocks = Q * Q if directed else Q * (Q + 1) // 2
-        return 2 * blocks
-
     def sample_matrix(self, params, z, rng, cov, directed):
         mu = _blockify(params.mu, z)
         sd = np.sqrt(_blockify(params.sigma2, z))
         X = rng.normal(mu, sd)
-        np.fill_diagonal(X, 0.0)
-        return X if directed else _mirror_upper(X)
-
-    def predicted_matrix(self, params, tau, graph, cov):
-        out = tau @ params.mu @ tau.T
-        np.fill_diagonal(out, 0.0)
-        return out
+        return _edge_matrix(X, directed)
 
     def block_means(self, params):
         return params.mu
 
-    def params_to_jsonable(self, params):
-        return {"mu": params.mu.tolist(), "sigma2": params.sigma2.tolist()}
-
-    def params_from_jsonable(self, data):
-        return GaussianParams(mu=np.asarray(data["mu"], dtype=float),
-                              sigma2=np.asarray(data["sigma2"], dtype=float))
-
 
 class _BivariateGaussianFamily(_Family):
-    kind = "bigauss"
-
-    def validate_params(self, params):
-        cov = params.cov
-        det = cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
-        if np.any(cov[..., 0, 0] <= 0) or np.any(det <= 0):
-            raise FamilyError("bivariate covariance matrices must be positive definite")
-        if not np.allclose(cov[..., 0, 1], cov[..., 1, 0]):
-            raise FamilyError("bivariate covariance matrices must be symmetric")
-
-    def check_graph(self, graph, cov):
-        super().check_graph(graph, cov)
-        if graph.value_kind != "paired" or graph.directed:
-            raise FamilyError("bivariate Gaussian expects an undirected paired-value graph")
-
     @staticmethod
     def _precision(cov):
         det = cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
@@ -959,6 +832,7 @@ class _BivariateGaussianFamily(_Family):
     def scorer(self, graph, cov):
         X1 = graph.values[:, :, 0]
         X2 = graph.values[:, :, 1]
+        stats = [X1 * X1, X2 * X2, X1 * X2, X1, X2]
 
         def make(params):
             P, det = self._precision(params.cov)
@@ -966,7 +840,6 @@ class _BivariateGaussianFamily(_Family):
             pm = np.einsum("qlab,qlb->qla", P, mu)
             const = (-0.5 * np.einsum("qla,qla->ql", mu, pm)
                      - np.log(2.0 * np.pi) - 0.5 * np.log(det))
-            stats = [X1 * X1, X2 * X2, X1 * X2, X1, X2]
             coeffs = [-0.5 * P[..., 0, 0], -0.5 * P[..., 1, 1], -P[..., 0, 1],
                       pm[..., 0], pm[..., 1]]
             return DecomposedScores(stats, coeffs, False, mask=const)
@@ -977,7 +850,6 @@ class _BivariateGaussianFamily(_Family):
         v = np.asarray(x, dtype=float)
         if v.shape != (2,):
             raise FamilyError("bivariate Gaussian expects a value couple (x_ij, x_ji)")
-        self.validate_params(params)
         mu = params.mu[q, l]
         cov = params.cov[q, l]
         P = np.linalg.inv(cov)
@@ -1017,10 +889,6 @@ class _BivariateGaussianFamily(_Family):
         covm = 0.5 * (covm + covm.transpose(1, 0, 2, 3)[..., ::-1, ::-1])
         return BivariateGaussianParams(mu=mu, cov=covm, degenerate=degen)
 
-    def param_count(self, Q, directed):
-        # mu: 2 per unordered block; Sigma: 3 per unordered block
-        return 5 * Q * (Q + 1) // 2
-
     def sample_matrix(self, params, z, rng, cov, directed):
         mu = _blockify(params.mu, z)       # (n, n, 2)
         C = _blockify(params.cov, z)       # (n, n, 2, 2)
@@ -1039,32 +907,11 @@ class _BivariateGaussianFamily(_Family):
         out[ju, iu, 1] = v1[iu, ju]
         return out
 
-    def predicted_matrix(self, params, tau, graph, cov):
-        out = tau @ params.mu[..., 0] @ tau.T
-        np.fill_diagonal(out, 0.0)
-        return out
-
     def block_means(self, params):
         return params.mu[..., 0]
 
-    def params_to_jsonable(self, params):
-        return {"mu": params.mu.tolist(), "cov": params.cov.tolist()}
-
-    def params_from_jsonable(self, data):
-        return BivariateGaussianParams(mu=np.asarray(data["mu"], dtype=float),
-                                       cov=np.asarray(data["cov"], dtype=float))
-
 
 class _LinearRegressionFamily(_Family):
-    kind = "linreg"
-    uses_covariates = True
-
-    def validate_params(self, params):
-        if np.any(params.sigma2 <= 0):
-            raise FamilyError("regression variances must be > 0")
-        if not np.all(np.isfinite(params.beta)):
-            raise FamilyError("regression coefficients must be finite")
-
     def scorer(self, graph, cov):
         X = graph.scalar_values
         Y = cov.y
@@ -1089,12 +936,8 @@ class _LinearRegressionFamily(_Family):
         return make
 
     def log_density(self, params, q, l, x, y=None):
-        if y is None:
-            raise FamilyError("covariate vector required for the linear regression family")
         y = np.atleast_1d(np.asarray(y, dtype=float))
         s2 = float(params.sigma2[q, l])
-        if s2 <= 0:
-            raise FamilyError("regression variance must be > 0")
         mean = float(params.beta[q, l] @ y)
         return float(-0.5 * (x - mean) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2))
 
@@ -1134,17 +977,12 @@ class _LinearRegressionFamily(_Family):
             sigma2 = _symmetrize(sigma2)
         return LinearRegressionParams(beta=beta, sigma2=sigma2, degenerate=degen)
 
-    def param_count(self, Q, directed):
-        blocks = Q * Q if directed else Q * (Q + 1) // 2
-        return (self.spec.covariate_dim + 1) * blocks
-
     def sample_matrix(self, params, z, rng, cov, directed):
         B = _blockify(params.beta, z)
         mean = np.einsum("ijd,ijd->ij", cov.y, B)
         sd = np.sqrt(_blockify(params.sigma2, z))
         X = rng.normal(mean, sd)
-        np.fill_diagonal(X, 0.0)
-        return X if directed else _mirror_upper(X)
+        return _edge_matrix(X, directed)
 
     def predicted_matrix(self, params, tau, graph, cov):
         out = np.zeros((graph.n, graph.n))
@@ -1153,24 +991,8 @@ class _LinearRegressionFamily(_Family):
         np.fill_diagonal(out, 0.0)
         return out
 
-    def params_to_jsonable(self, params):
-        return {"beta": params.beta.tolist(), "sigma2": params.sigma2.tolist()}
-
-    def params_from_jsonable(self, data):
-        return LinearRegressionParams(beta=np.asarray(data["beta"], dtype=float),
-                                      sigma2=np.asarray(data["sigma2"], dtype=float))
-
 
 class _SimpleRegressionFamily(_Family):
-    kind = "simplereg"
-    uses_covariates = True
-
-    def validate_params(self, params):
-        if params.sigma2 <= 0:
-            raise FamilyError("regression variance must be > 0")
-        if not (np.isfinite(params.slope) and np.all(np.isfinite(params.intercept))):
-            raise FamilyError("regression parameters must be finite")
-
     def scorer(self, graph, cov):
         X = graph.scalar_values
         Y = _zero_diagonal(cov.y[:, :, 0].copy())
@@ -1189,12 +1011,8 @@ class _SimpleRegressionFamily(_Family):
         return make
 
     def log_density(self, params, q, l, x, y=None):
-        if y is None:
-            raise FamilyError("covariate required for the simple regression family")
         y0 = float(np.atleast_1d(np.asarray(y, dtype=float))[0])
         s2 = float(params.sigma2)
-        if s2 <= 0:
-            raise FamilyError("regression variance must be > 0")
         mean = float(params.intercept[q, l]) + params.slope * y0
         return float(-0.5 * (x - mean) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2))
 
@@ -1231,46 +1049,65 @@ class _SimpleRegressionFamily(_Family):
         return SimpleRegressionParams(intercept=a, slope=float(b), sigma2=float(sigma2),
                                       degenerate=degen)
 
-    def param_count(self, Q, directed):
-        blocks = Q * Q if directed else Q * (Q + 1) // 2
-        return blocks + 2
-
     def sample_matrix(self, params, z, rng, cov, directed):
         mean = _blockify(params.intercept, z) + params.slope * cov.y[:, :, 0]
         X = rng.normal(mean, np.sqrt(params.sigma2))
-        np.fill_diagonal(X, 0.0)
-        return X if directed else _mirror_upper(X)
+        return _edge_matrix(X, directed)
 
     def predicted_matrix(self, params, tau, graph, cov):
         out = tau @ params.intercept @ tau.T + params.slope * cov.y[:, :, 0]
         np.fill_diagonal(out, 0.0)
         return out
 
-    def params_to_jsonable(self, params):
-        return {"intercept": params.intercept.tolist(), "slope": params.slope,
-                "sigma2": params.sigma2}
 
-    def params_from_jsonable(self, data):
-        return SimpleRegressionParams(intercept=np.asarray(data["intercept"], dtype=float),
-                                      slope=float(data["slope"]),
-                                      sigma2=float(data["sigma2"]))
+# ---------------------------------------------------------------------------
+# The family registry
 
 
-_FAMILIES = {
-    "poisson": _PoissonFamily,
-    "poisson-prmh": _PoissonRegFamily,
-    "poisson-prmi": _PoissonRegFamily,
-    "bernoulli": _BernoulliFamily,
-    "multinomial": _MultinomialFamily,
-    "gaussian": _GaussianFamily,
-    "bigauss": _BivariateGaussianFamily,
-    "linreg": _LinearRegressionFamily,
-    "simplereg": _SimpleRegressionFamily,
+class FamilyEntry(NamedTuple):
+    """One family kind: its implementation, data and parameter arrays."""
+
+    family: type          # the _Family subclass
+    value_kind: str       # graph value kind it reads, loads and samples
+    strict_kind: bool     # check_graph refuses graphs of another value kind
+    covariates: bool      # needs edge covariates
+    params: tuple         # ParamArray rows, in JSON order
+    flags: tuple = ()     # (name, value) constants of the record, also in JSON
+
+
+_RATES = ParamArray("lam", True, (), _nonnegative, "Poisson rates")
+_COEFFS = "regression coefficients"
+
+FAMILIES = {
+    "bernoulli": FamilyEntry(_BernoulliFamily, "count", False, False, (
+        ParamArray("pi", True, (), _unit, "Bernoulli probabilities"),)),
+    "multinomial": FamilyEntry(_MultinomialFamily, "label", True, False, (
+        ParamArray("probs", True, ("m",), _simplex, "label probabilities"),)),
+    "gaussian": FamilyEntry(_GaussianFamily, "real", False, False, (
+        ParamArray("mu", True, (), _finite, "Gaussian means"),
+        ParamArray("sigma2", True, (), _positive, "Gaussian variances"))),
+    "bigauss": FamilyEntry(_BivariateGaussianFamily, "paired", True, False, (
+        ParamArray("mu", True, (2,), _finite, "bivariate means"),
+        ParamArray("cov", True, (2, 2), _spd2, "bivariate covariance matrices"))),
+    "poisson": FamilyEntry(_PoissonFamily, "count", True, False, (_RATES,)),
+    "poisson-prmh": FamilyEntry(_PoissonRegFamily, "count", True, True, (
+        _RATES, ParamArray("beta", False, ("p",), _finite, _COEFFS)), (("shared", True),)),
+    "poisson-prmi": FamilyEntry(_PoissonRegFamily, "count", True, True, (
+        _RATES, ParamArray("beta", True, ("p",), _finite, _COEFFS)), (("shared", False),)),
+    "linreg": FamilyEntry(_LinearRegressionFamily, "real", False, True, (
+        ParamArray("beta", True, ("p",), _finite, _COEFFS),
+        ParamArray("sigma2", True, (), _positive, "regression variances"))),
+    "simplereg": FamilyEntry(_SimpleRegressionFamily, "real", False, True, (
+        ParamArray("intercept", True, (), _finite, "regression parameters"),
+        ParamArray("slope", False, (), _finite, "regression parameters"),
+        ParamArray("sigma2", False, (), _positive, "regression variance"))),
 }
+
+FAMILY_KINDS = tuple(FAMILIES)
 
 
 def get_family(spec: FamilySpec) -> _Family:
-    return _FAMILIES[spec.kind](spec)
+    return FAMILIES[spec.kind].family(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -1446,16 +1283,16 @@ def _poisson_regression_fit(tau, graph, cov, shared, warm_start=None):
 
 
 def log_density(spec: FamilySpec, params, q, l, x, y=None) -> float:
-    """log f_ql(x), scalar path.
+    """log f_ql(x), scalar path; ``y`` is the covariate vector of the pair
+    for the regression families.
 
     Impossible values under boundary parameters (x > 0 with a zero rate,
     x = 1 with pi = 0, ...) return the LOG_ZERO surrogate instead of -inf
     so downstream fixed points stay well defined.
     """
-    fam = get_family(spec)
-    if fam.uses_covariates and y is None:
+    if spec.uses_covariates and y is None:
         raise FamilyError(f"family {spec.kind!r} requires a covariate vector")
-    return fam.log_density(params, q, l, x, y=y)
+    return get_family(spec).log_density(params, q, l, x, y=y)
 
 
 def weighted_mle(spec: FamilySpec, tau, graph: ValuedGraph, cov: EdgeCovariates | None = None,
@@ -1536,19 +1373,31 @@ def expfam_mle(sufficient_stat, grad_A, inverse_grad_A, tau, graph: ValuedGraph)
 
 
 def param_count(spec: FamilySpec, Q: int, directed: bool) -> int:
-    """Number of independent theta parameters P_Q for the ICL penalty."""
+    """Number of independent theta parameters P_Q for the ICL penalty.
+
+    Each block-wise array counts once per block (Q**2 blocks, Q (Q + 1) / 2
+    when undirected) and each shared array once; a probability vector over
+    m labels has m - 1 free values and a 2 x 2 covariance matrix 3.
+    """
     if Q < 1:
         raise FamilyError("Q must be >= 1")
-    return get_family(spec).param_count(Q, directed)
+    blocks = Q * Q if directed else Q * (Q + 1) // 2
+    sizes = _spec_sizes(spec)
+    return sum(a.dof(sizes) * (blocks if a.blockwise else 1) for a in FAMILIES[spec.kind].params)
 
 
-def theta_to_jsonable(spec: FamilySpec, params) -> dict:
-    return get_family(spec).params_to_jsonable(params)
+def theta_to_jsonable(spec: FamilySpec, params: BlockParams) -> dict:
+    """The arrays as nested lists (shared scalars as floats), then the flags."""
+    data = {k: v.tolist() for k, v in params.arrays().items()}
+    data.update(FAMILIES[spec.kind].flags)
+    return data
 
 
-def theta_from_jsonable(spec: FamilySpec, data: dict):
+def theta_from_jsonable(spec: FamilySpec, data: dict) -> BlockParams:
     """Parameters from their JSON form; invalid values raise FamilyError."""
-    fam = get_family(spec)
-    params = fam.params_from_jsonable(data)
-    fam.validate_params(params)
-    return params
+    entry = FAMILIES[spec.kind]
+    for flag, value in entry.flags:
+        if flag in data and bool(data[flag]) != value:
+            raise FamilyError(f"{flag}={data[flag]!r} does not fit family {spec.kind!r}")
+    return BlockParams(spec.kind, sizes=_spec_sizes(spec),
+                       **{a.name: data[a.name] for a in entry.params})

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import families
 from .engine import FitResult, MixtureParams, VariationalPosterior
-from .errors import FamilyError, InputFormatError
+from .errors import BlockfitError, InputFormatError
 from .families import FamilySpec
 from .graph import EdgeColumns, EdgeCovariates, ValuedGraph, attach_covariates, build_graph
 from .selection import SelectionResult
@@ -204,7 +204,7 @@ def fit_from_jsonable(data: dict):
             icl=data.get("icl"),
             spec=spec,
         )
-    except (KeyError, TypeError, ValueError, FamilyError) as exc:
+    except (KeyError, TypeError, ValueError, BlockfitError) as exc:
         raise InputFormatError(f"malformed fit JSON: {exc}") from exc
     return fit, spec
 

@@ -105,14 +105,12 @@ def sample_graph(params: MixtureParams, n: int, directed: bool, spec: FamilySpec
     unordered pair for undirected graphs)."""
     rng = np.random.default_rng(seed)
     fam = families.get_family(spec)
-    if fam.uses_covariates and cov is None:
+    if spec.uses_covariates and cov is None:
         raise BlockfitError(f"family {spec.kind!r} needs covariates to sample")
     z = rng.choice(params.Q, size=n, p=params.alpha)
     values = fam.sample_matrix(params.theta, z, rng, cov, directed)
-    kind = {"bernoulli": "count", "multinomial": "label", "bigauss": "paired",
-            "poisson": "count", "poisson-prmh": "count", "poisson-prmi": "count",
-            "gaussian": "real", "linreg": "real", "simplereg": "real"}[spec.kind]
-    g = ValuedGraph.from_matrix(values, directed=directed, value_kind=kind,
+    g = ValuedGraph.from_matrix(values, directed=directed,
+                                value_kind=families.FAMILIES[spec.kind].value_kind,
                                 num_labels=spec.num_labels)
     return g, z
 

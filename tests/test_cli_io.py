@@ -231,6 +231,19 @@ def test_fit_json_with_invalid_parameters_is_refused(two_block_graph, tmp_path):
         read_fit_json(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("theta", {"lam": np.ones((3, 3)).tolist()}, "Q=3"),  # Q = 2 in alpha and tau
+    ("alpha", [0.7, 0.7], "alpha"),
+])
+def test_fit_json_with_inconsistent_parameters_is_refused(two_block_graph, field, value,
+                                                          message):
+    g, _ = two_block_graph
+    data = fit_to_jsonable(bf.fit(g, POISSON, 2, seed=0, restarts=1))
+    data[field] = value
+    with pytest.raises(bf.InputFormatError, match=message):
+        fit_from_jsonable(data)
+
+
 def _loop_prediction_csv(fh, report, directed):
     """The per-pair ``csv`` writer that write_prediction_csv replaced."""
     writer = csv.writer(fh, lineterminator="\n")

@@ -184,6 +184,36 @@ def test_estep_does_not_decrease_bound():
                 >= lower_bound(g, spec, tau0, params) - 1e-8)
 
 
+def test_estep_scores_each_iterate_once(monkeypatch):
+    # one node-score product for the start and one per Jacobi update; the
+    # softmax runs once per update plus once for the converged proposal
+    from collections import Counter
+
+    from blockfit import engine, families
+
+    g, _ = sample_poisson([[6.0, 0.5], [0.5, 3.0]], [0.5, 0.5], 40, seed=5)
+    params = pois_params([[5.0, 1.0], [1.0, 2.0]])
+    tau0 = ou.random_tau(np.random.default_rng(6), g.n, 2)
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(families.DecomposedScores, "node_scores")
+    counted(families.DecomposedScores, "gs_state")
+    counted(engine, "_softmax_rows")
+    post = estep_fixed_point(g, POISSON, params, tau0)
+    assert post.converged and calls["gs_state"] == 0
+    updates = calls["_softmax_rows"] - 1
+    assert updates >= 1
+    assert calls["node_scores"] == 1 + updates
+
+
 # ---------------------------------------------------------------------------
 # M-step
 
@@ -247,6 +277,11 @@ def test_fit_label_permutation_equivariance():
     fr2 = bf.fit(g, POISSON, 2, init=1 - labels, restarts=1)
     assert fr1.bound == pytest.approx(fr2.bound, abs=1e-10)
     assert fr1.params.alpha == pytest.approx(fr2.params.alpha, abs=1e-9)
+
+
+def test_mixture_params_reject_a_theta_of_another_q():
+    with pytest.raises(bf.FamilyError, match="Q=3"):
+        MixtureParams(alpha=np.array([0.5, 0.5]), theta=PoissonParams(lam=np.ones((3, 3))))
 
 
 def test_fit_rejects_bad_inputs():

@@ -219,3 +219,12 @@ def test_scores_match_the_scalar_log_density(kind, directed, n, Q, seed):
     D = ops.node_scores(state.tau)
     for i in range(n):
         np.testing.assert_allclose(state.row_score(i), D[i], rtol=1e-12, atol=1e-12)
+
+
+def test_bigauss_statistics_are_built_once_per_graph():
+    rng = np.random.default_rng(4)
+    g, cov, spec, params = _instance("bigauss", rng, 5, 2, False)
+    make = get_family(spec).scorer(g, cov)
+    first, second = make(params), make(params)
+    assert len(first.stats) == 5
+    assert all(a is b for a, b in zip(first.stats, second.stats))
