@@ -14,10 +14,11 @@ iterates the mean-field fixed point
 (the f_lq factor drops for undirected graphs) in the log domain; the
 M-step delegates to the closed-form / GLM updates in :mod:`families`.
 
-Monotonicity of J is enforced, not hoped for: synchronous fixed-point
-sweeps track the bound of every iterate, and whenever the converged sweep
-would end below the entry bound the step is redone as row-wise coordinate
-ascent (Gauss-Seidel), which can only increase J.
+Monotonicity of J is enforced, not hoped for: each E-sweep moves towards
+the synchronous (Jacobi) proposal, which maximizes every row's concave part
+of J, by the longest step 1, 1/2, 1/4, ... that does not lower J (see
+:func:`_estep_core`).  An E-step that raises J keeps variational EM
+monotone (Neal & Hinton 1998).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ TAU_EPS = 1e-16          # clip for tau entries before logs
 ALPHA_FLOOR = 1e-300     # keeps log alpha finite when a class empties
 ESTEP_TOL = 1e-6         # max-norm fixed-point residual
 ESTEP_MAX_SWEEPS = 200
+ESTEP_MIN_STEP = 2.0 ** -30  # shortest line-search step before a sweep gives up
 OUTER_TOL = 1e-6         # relative bound change
 OUTER_MAX_ITER = 500
 ENUM_LIMIT = 10 ** 7     # largest Q**n the exact oracle will enumerate
@@ -105,9 +107,14 @@ def _normalize_rows(tau):
 
 
 def _softmax_rows(scores):
-    s = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(s)
-    return _normalize_rows(e / e.sum(axis=1, keepdims=True))
+    """Row softmax, clipped and renormalized as by :func:`_normalize_rows` in
+    one buffer (entries are <= 1 before the clip, so the lower clip suffices)."""
+    e = scores - scores.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    np.maximum(e, TAU_EPS, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _log_alpha(alpha):
@@ -122,19 +129,6 @@ def _scorer(spec, graph, cov):
 
 def _entropy_term(tau):
     return -float(xlogy(tau, tau).sum())
-
-
-def _bound_from_scores(ops, tau, D, log_alpha):
-    """J from node scores D = ops.node_scores(tau), for comparisons inside
-    the E-step.
-
-    The edge sum equals tau.D/2 because every pair appears in two rows.  D
-    leaves out the tau-independent ``ops.fixed``, which cancels in every
-    comparison; it is added back so that the relative tolerance in
-    :func:`_estep_core` is scaled by J itself.
-    """
-    return (_entropy_term(tau) + float(tau.sum(axis=0) @ log_alpha)
-            + 0.5 * float(np.sum(tau * D)) + ops.fixed)
 
 
 def _bound_from_ops(ops, tau, log_alpha):
@@ -158,61 +152,55 @@ def classification_entropy(tau) -> float:
     return _entropy_term(np.asarray(tau, dtype=float))
 
 
-def _estep_jacobi(ops, log_alpha, tau0, tol, max_sweeps):
-    """Synchronous fixed-point sweeps.  Returns (tau, J, converged, best
-    tau, entry J); the best tau's bound is at least the entry J."""
-    tau = tau0
-    D = ops.node_scores(tau)
-    j_init = j_cur = _bound_from_scores(ops, tau, D, log_alpha)
-    best_j, best_tau = j_cur, tau
-    prev_resid = np.inf
-    damp = 1.0
-    converged = False
+def _bound_change(delta, A, A_cand, tlogt, clogc):
+    """J(cand) - J(tau) for delta = cand - tau, from A = log alpha + D and
+    x log x at both iterates.
+
+    D is linear and symmetric (tau . D(s) = s . D(tau)), so the alpha and
+    edge parts are delta . (A(cand) + A(tau)) / 2; the entropy part is
+    summed entry by entry.  Rounding scales with the step, not with |J|.
+    """
+    return 0.5 * float(np.vdot(delta, A_cand + A)) + float((tlogt - clogc).sum())
+
+
+def _estep_core(ops, log_alpha, tau, tol, max_sweeps):
+    """Line-searched Jacobi sweeps, along which J never decreases.
+
+    A sweep proposes P = softmax(log alpha + D(tau)) and stops, converged,
+    once max|P - tau| < tol.  Otherwise it accepts the first of
+    tau + t (P - tau), t = 1, 1/2, ... (renormalized when t < 1) whose J
+    does not fall, or returns tau unconverged below ``ESTEP_MIN_STEP``.
+    Returns (tau, converged, sweeps, backtracks), counting accepted steps
+    and rejected candidates; each, like the entry, costs one product.
+    """
+    A = ops.node_scores(tau)
+    A += log_alpha
+    tlogt = xlogy(tau, tau)
+    sweeps = backtracks = 0
     for _ in range(max_sweeps):
-        prop = _softmax_rows(log_alpha[None, :] + D)
-        resid = float(np.max(np.abs(prop - tau)))
-        if resid < tol:
-            converged = True
-            break
-        if resid > prev_resid:
-            damp = 0.5  # oscillation: keep damped updates from here on
-        prev_resid = resid
-        tau = prop if damp == 1.0 else _normalize_rows(damp * prop + (1.0 - damp) * tau)
-        D = ops.node_scores(tau)
-        j_cur = _bound_from_scores(ops, tau, D, log_alpha)
-        if j_cur > best_j:
-            best_j, best_tau = j_cur, tau
-    return tau, j_cur, converged, best_tau, j_init
-
-
-def _estep_gauss_seidel(ops, log_alpha, tau, tol, max_sweeps):
-    """Row-wise coordinate ascent; every row update maximizes J over that
-    row, so the bound cannot decrease."""
-    tau = tau.copy()
-    state = ops.gs_state(tau)
-    n = tau.shape[0]
-    for _ in range(max_sweeps):
-        max_delta = 0.0
-        for i in range(n):
-            s = log_alpha + state.row_score(i)
-            s = s - s.max()
-            row = np.exp(s)
-            row = np.clip(row / row.sum(), TAU_EPS, 1.0)
-            row /= row.sum()
-            max_delta = max(max_delta, float(np.max(np.abs(row - tau[i]))))
-            state.set_row(i, row)
-        if max_delta < tol:
-            return tau, True
-    return tau, False
-
-
-def _estep_core(ops, log_alpha, tau0, tol, max_sweeps):
-    tau, j_cur, converged, best_tau, j_init = _estep_jacobi(
-        ops, log_alpha, tau0, tol, max_sweeps)
-    if converged and j_cur >= j_init - 1e-9 * max(1.0, abs(j_init)):
-        return tau, True
-    # fall back to guaranteed-monotone coordinate ascent from the best iterate
-    return _estep_gauss_seidel(ops, log_alpha, best_tau, tol, max_sweeps)
+        prop = _softmax_rows(A)
+        step = prop - tau
+        if np.abs(step).max() < tol:
+            return tau, True, sweeps, backtracks
+        t, cand, delta = 1.0, prop, step
+        while True:
+            A_cand = ops.node_scores(cand)
+            A_cand += log_alpha
+            clogc = xlogy(cand, cand)
+            gain = _bound_change(delta, A, A_cand, tlogt, clogc)
+            # a damped step may round to no move at all, which would only
+            # repeat this sweep, so it must raise J strictly
+            if gain > 0.0 or (gain == 0.0 and t == 1.0):
+                break
+            backtracks += 1
+            t *= 0.5
+            if t < ESTEP_MIN_STEP:
+                return tau, False, sweeps, backtracks
+            cand = _normalize_rows(tau + t * step)
+            delta = cand - tau
+        tau, A, tlogt = cand, A_cand, clogc
+        sweeps += 1
+    return tau, False, sweeps, backtracks
 
 
 def estep_fixed_point(graph: ValuedGraph, spec, params: MixtureParams, tau_init,
@@ -222,13 +210,14 @@ def estep_fixed_point(graph: ValuedGraph, spec, params: MixtureParams, tau_init,
     """Solve the mean-field fixed point for tau at fixed gamma.
 
     Runs synchronous sweeps in the log domain (per-row max subtraction
-    before exponentiation) with 0.5-damping once oscillation is detected;
-    non-convergence within ``max_sweeps`` returns the best iterate flagged
-    unconverged.
+    before exponentiation), each shortened by halving when the full update
+    would lower J, so that J never decreases.  A start that no sweep can
+    improve on, or non-convergence within ``max_sweeps``, returns the last
+    iterate flagged unconverged.
     """
     tau0 = _normalize_rows(np.asarray(tau_init, dtype=float).copy())
     ops = _scorer(spec, graph, cov)(params.theta)
-    tau, converged = _estep_core(ops, _log_alpha(params.alpha), tau0, tol, max_sweeps)
+    tau, converged, _, _ = _estep_core(ops, _log_alpha(params.alpha), tau0, tol, max_sweeps)
     return VariationalPosterior(tau=tau, converged=converged)
 
 
@@ -327,12 +316,14 @@ def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, estep_tol, estep_max
     traj = [j]
     converged = False
     est_ok = True
-    estep_unconverged = 0
+    estep_unconverged = sweeps = backtracks = 0
     iterations = 0
     for iterations in range(1, max_outer + 1):
-        tau, est_ok = _estep_core(ops, log_alpha, tau, estep_tol, estep_max_sweeps)
-        if not est_ok:
-            estep_unconverged += 1
+        tau, est_ok, est_sweeps, est_backtracks = _estep_core(
+            ops, log_alpha, tau, estep_tol, estep_max_sweeps)
+        estep_unconverged += not est_ok
+        sweeps += est_sweeps
+        backtracks += est_backtracks
         traj.append(_bound_from_ops(ops, tau, log_alpha))
         params = mstep(graph, spec, tau, cov, prev=params.theta)
         ops = scorer(params.theta)
@@ -351,6 +342,8 @@ def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, estep_tol, estep_max
         "converged": converged,
         "iterations": iterations,
         "estep_unconverged": estep_unconverged,
+        "estep_sweeps": sweeps,
+        "estep_backtracks": backtracks,
         "estep_converged": est_ok,
     }
 
@@ -417,7 +410,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
 
     best = None
     failures = []
-    estep_unconverged = 0
+    estep_counts = dict.fromkeys(("estep_unconverged", "estep_sweeps", "estep_backtracks"), 0)
     for r, tau0 in enumerate(inits):
         try:
             out = _run_em(graph, spec, scorer, tau0, cov, tol, max_outer,
@@ -425,7 +418,8 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
         except (FamilyError, NumericalError, np.linalg.LinAlgError) as exc:
             failures.append(f"restart {r}: {exc}")
             continue
-        estep_unconverged += out["estep_unconverged"]
+        for key in estep_counts:
+            estep_counts[key] += out[key]
         if best is None or out["trajectory"][-1] > best["trajectory"][-1]:
             best = out
     if best is None:
@@ -446,7 +440,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
             "restarts": len(inits),
             "restarts_failed": len(failures),
             "failures": failures,
-            "estep_unconverged": estep_unconverged,
+            **estep_counts,
             "empty_classes": int(np.sum(params.alpha < 1e-8)),
             "init_fallback": init_fallback,
         },

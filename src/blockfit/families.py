@@ -348,6 +348,13 @@ class DecomposedScores:
         return L
 
     def gs_state(self, tau):
+        """Row-at-a-time scores (see :class:`_DecomposedGS`).
+
+        The engine does not call this: its E-step is line-searched Jacobi
+        sweeps.  It stays because the benchmark tracer in ``bench/`` wraps
+        ``gs_state`` by name and reports ``families.gs_state_calls``; it goes
+        with the next change to the benchmark.
+        """
         return _DecomposedGS(self, tau)
 
 
@@ -376,11 +383,16 @@ class DenseScores:
         return self.tensor
 
     def gs_state(self, tau):
+        """Row-at-a-time scores; kept only for the benchmark tracer, as
+        :meth:`DecomposedScores.gs_state` explains."""
         return _DenseGS(self, tau)
 
 
 class _DecomposedGS:
-    """Row-at-a-time (Gauss-Seidel) evaluation with O(Q^2) row updates."""
+    """Row-at-a-time (Gauss-Seidel) evaluation with O(Q^2) row updates.
+
+    Unused by the engine; ``test_scoring`` checks it against node_scores.
+    """
 
     def __init__(self, ops, tau):
         self.ops = ops

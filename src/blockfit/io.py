@@ -186,19 +186,32 @@ def write_fit_json(path, fit: FitResult, spec: FamilySpec | None = None,
 
 
 def fit_from_jsonable(data: dict):
-    """Rebuild (FitResult, FamilySpec) from the JSON payload."""
+    """Rebuild (FitResult, FamilySpec) from the JSON payload.
+
+    ``Q``, the size of ``alpha``, the width of ``tau`` and the labels of
+    ``map_assignment`` (one per row of ``tau``) must agree.
+    """
     try:
         spec = FamilySpec(kind=data["family"], num_labels=data.get("num_labels"),
                           covariate_dim=data.get("covariate_dim"))
         theta = families.theta_from_jsonable(spec, data["theta"])
         params = MixtureParams(alpha=np.asarray(data["alpha"], dtype=float), theta=theta)
         posterior = VariationalPosterior(tau=np.asarray(data["tau"], dtype=float))
+        labels = np.asarray(data["map_assignment"], dtype=int)
+        Q = params.Q
+        if data["Q"] != Q:
+            raise ValueError(f"Q is {data['Q']} but alpha has {Q} groups")
+        if labels.ndim != 1 or posterior.tau.shape != (labels.size, Q):
+            raise ValueError(f"tau has shape {posterior.tau.shape}, expected "
+                             f"({labels.size}, {Q}) from map_assignment and alpha")
+        if np.any((labels < 0) | (labels >= Q)):
+            raise ValueError(f"map_assignment has labels outside 0..{Q - 1}")
         fit = FitResult(
             params=params,
             posterior=posterior,
             bound_trajectory=list(data["J_trajectory"]),
             entropy=float(data["entropy"]),
-            map_assignment=np.asarray(data["map_assignment"], dtype=int),
+            map_assignment=labels,
             converged=bool(data["converged"]),
             iterations=int(data.get("iterations", 0)),
             icl=data.get("icl"),

@@ -244,6 +244,26 @@ def test_fit_json_with_inconsistent_parameters_is_refused(two_block_graph, field
         fit_from_jsonable(data)
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"Q": 7, "labels": {0: 5}}, "Q is 7"),
+    ({"Q": 3}, "Q is 3"),
+    ({"labels": {0: 5}}, "outside 0..1"),
+    ({"labels": {0: -1}}, "outside 0..1"),
+    ({"tau": lambda tau: [row + [0.0] for row in tau]}, r"expected \(30, 2\)"),
+    ({"tau": lambda tau: tau[:-1]}, r"expected \(30, 2\)"),
+])
+def test_fit_json_groups_must_agree_with_alpha(two_block_graph, edit, message):
+    g, _ = two_block_graph
+    data = fit_to_jsonable(bf.fit(g, POISSON, 2, seed=0, restarts=1))
+    fit_from_jsonable(data)
+    data["Q"] = edit.get("Q", data["Q"])
+    for i, label in edit.get("labels", {}).items():
+        data["map_assignment"][i] = label
+    data["tau"] = edit.get("tau", lambda tau: tau)(data["tau"])
+    with pytest.raises(bf.InputFormatError, match=message):
+        fit_from_jsonable(data)
+
+
 def _loop_prediction_csv(fh, report, directed):
     """The per-pair ``csv`` writer that write_prediction_csv replaced."""
     writer = csv.writer(fh, lineterminator="\n")

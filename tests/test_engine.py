@@ -214,6 +214,29 @@ def test_estep_scores_each_iterate_once(monkeypatch):
     assert calls["node_scores"] == 1 + updates
 
 
+def test_estep_backtracks_when_the_full_update_lowers_the_bound(monkeypatch):
+    # disassortative blocks from a random start: some Jacobi proposals would
+    # lower J, and the line search shortens them instead of a row-wise pass
+    from collections import Counter
+
+    from blockfit import families
+
+    g, _ = sample_poisson([[0.5, 6.0], [6.0, 0.5]], [0.5, 0.5], 20, seed=8)
+    calls = Counter()
+    for owner in (families.DecomposedScores, families.DenseScores):
+        for name in ("node_scores", "gs_state"):
+            def wrapper(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+    fr = bf.fit(g, POISSON, 2, seed=8, restarts=1, init="random")
+    diag = fr.diagnostics
+    assert diag["estep_backtracks"] > 0 and calls["gs_state"] == 0
+    assert np.all(np.diff(fr.bound_trajectory) >= 0)
+    # one product per E-step entry, accepted step and rejected candidate
+    assert calls["node_scores"] == fr.iterations + diag["estep_sweeps"] + diag["estep_backtracks"]
+
+
 # ---------------------------------------------------------------------------
 # M-step
 

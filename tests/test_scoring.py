@@ -1,9 +1,11 @@
-"""Score containers and the Ward start against direct evaluations.
+"""Score containers, the E-step line search and the Ward start against
+direct evaluations.
 
 The decomposed scores are checked against the (Q, Q, n, n) tensor of
 scalar ``log_density`` values, which shares no code with the sum-of-products
-path; the Gram-matrix profile distances are checked against ``pdist`` on the
-explicit n x 2n profile matrix.
+path; the E-step's change in J against two ``lower_bound`` calls; the
+Gram-matrix profile distances against ``pdist`` on the explicit n x 2n
+profile matrix.
 """
 
 import numpy as np
@@ -11,9 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import pdist
+from scipy.special import xlogy
 
 from blockfit import FamilySpec, ValuedGraph
-from blockfit.engine import _profile_distances, _softmax_rows, init_partition
+from blockfit.engine import (
+    MixtureParams,
+    _bound_change,
+    _normalize_rows,
+    _profile_distances,
+    _softmax_rows,
+    estep_fixed_point,
+    init_partition,
+    lower_bound,
+)
 from blockfit.families import (
     FAMILY_KINDS,
     BernoulliParams,
@@ -219,6 +231,36 @@ def test_scores_match_the_scalar_log_density(kind, directed, n, Q, seed):
     D = ops.node_scores(state.tau)
     for i in range(n):
         np.testing.assert_allclose(state.row_score(i), D[i], rtol=1e-12, atol=1e-12)
+
+    # the proposal is an ascent direction: grad J . (P - tau) >= 0
+    D = ops.node_scores(tau)
+    slope = (log_alpha + D - np.log(tau)) * (got - tau)
+    assert slope.sum() >= -1e-12 * scale
+
+    # the change in J the line search tests is the change in lower_bound
+    cand = _normalize_rows(tau + rng.uniform(0.0, 1.0) * (got - tau))
+    mix = MixtureParams(alpha=np.exp(log_alpha), theta=params)
+    want = lower_bound(g, spec, cand, mix, cov) - lower_bound(g, spec, tau, mix, cov)
+    change = _bound_change(cand - tau, log_alpha + D, log_alpha + ops.node_scores(cand),
+                           xlogy(tau, tau), xlogy(cand, cand))
+    assert abs(change - want) <= 1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(FAMILY_KINDS), directed=st.booleans(), n=st.integers(2, 8),
+       Q=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_estep_bound_never_decreases_with_more_sweeps(kind, directed, n, Q, seed):
+    # the E-step is deterministic, so max_sweeps=k+1 continues the run of k
+    directed = directed and kind != "bigauss"
+    rng = np.random.default_rng(seed)
+    g, cov, spec, params = _instance(kind, rng, n, Q, directed)
+    mix = MixtureParams(alpha=rng.dirichlet(np.ones(Q)), theta=params)
+    tau0 = rng.dirichlet(np.ones(Q), size=n)
+    bounds = [lower_bound(g, spec, _normalize_rows(tau0), mix, cov)]
+    for k in range(1, 9):
+        post = estep_fixed_point(g, spec, mix, tau0, cov, max_sweeps=k)
+        bounds.append(lower_bound(g, spec, post.tau, mix, cov))
+    assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(bounds, bounds[1:]))
 
 
 def test_bigauss_statistics_are_built_once_per_graph():
