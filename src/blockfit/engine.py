@@ -373,7 +373,8 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     refuses the profiles, noted in ``diagnostics["init_fallback"]``); the
     remaining ones use random partitions seeded from ``seed``, which may be
     anything :func:`numpy.random.default_rng` accepts.  The fit with the
-    highest final bound is returned, with classes relabeled in descending
+    highest final bound is returned (the earliest one when bounds agree to
+    1e-12 relative), with classes relabeled in descending
     estimated-proportion order.
 
     Raises
@@ -408,7 +409,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
         inits.append(init_partition(graph, Q, strategy="random",
                                     seed=_restart_rng(seed, r)).tau)
 
-    best = None
+    runs = []
     failures = []
     estep_counts = dict.fromkeys(("estep_unconverged", "estep_sweeps", "estep_backtracks"), 0)
     for r, tau0 in enumerate(inits):
@@ -420,10 +421,13 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
             continue
         for key in estep_counts:
             estep_counts[key] += out[key]
-        if best is None or out["trajectory"][-1] > best["trajectory"][-1]:
-            best = out
-    if best is None:
+        runs.append(out)
+    if not runs:
         raise NumericalError("all restarts diverged: " + "; ".join(failures))
+    # final bounds within 1e-12 relative of the best tie; the earliest wins
+    top = max(out["trajectory"][-1] for out in runs)
+    best = next(out for out in runs
+                if out["trajectory"][-1] >= top - 1e-12 * max(1.0, abs(top)))
 
     params, tau = relabel_descending(best["params"], best["tau"])
     assignment = np.argmax(tau, axis=1)
@@ -460,13 +464,6 @@ def _dense_loglik(graph, spec, params, cov):
     return ops.dense(), ops.fixed
 
 
-def _pair_list(graph):
-    n = graph.n
-    if graph.directed:
-        return [(i, j) for i in range(n) for j in range(n) if i != j]
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def _assignment_logliks(graph, spec, params, cov):
     """Complete-data log-likelihood of every one of the Q**n assignments."""
     n, Q = graph.n, params.Q
@@ -475,7 +472,7 @@ def _assignment_logliks(graph, spec, params, cov):
         raise NumericalError(f"enumeration of {Q}**{n} assignments is too large")
     L, fixed = _dense_loglik(graph, spec, params, cov)
     log_alpha = _log_alpha(params.alpha)
-    pairs = _pair_list(graph)
+    pairs = graph.pair_index()
     radix = Q ** np.arange(n, dtype=np.int64)
     lls = np.empty(total)
     chunk = 1 << 16

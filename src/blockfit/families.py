@@ -13,8 +13,14 @@ Every family answers three questions for the fitting engine:
   which the E-step's softmax never needs.  Poisson thus costs one n x n
   product per E-sweep and orientation;
 * estimation -- the maximizer of the weighted log-likelihood
-  sum_{i != j} tau_iq tau_jl log f_ql(X_ij), closed form where available,
-  Newton on the weighted GLM objective for the Poisson regressions;
+  sum_{i != j} tau_iq tau_jl log f_ql(X_ij).  The six exponential families
+  with block-free statistics (Poisson, Bernoulli, multinomial, Gaussian,
+  bigauss, linreg) derive from :class:`_StatFamily`: each lists its n x n
+  statistics S_k once, and the same list feeds the scorer (with the
+  family's coefficients) and the M-step, which maps the block sums
+  T_k = tau^T S_k tau and the block weights to the parameters.  The Poisson
+  regressions run Newton on the weighted GLM objective, and simplereg
+  solves its shared slope from sums that its scorer folds into ``fixed``;
 * bookkeeping -- sampling and block means per family; the rest comes from
   two tables.  The registry :data:`FAMILIES` maps each kind to its class,
   the value kind of its graphs (read by the CLI, sampling and
@@ -25,7 +31,8 @@ Every family answers three questions for the fitting engine:
   trip and :func:`param_count` from the same row.
 
 Blocks whose total weight falls below ``DEGENERATE_REL_TOL`` times the
-overall weight keep their previous parameter value and are flagged in the
+overall weight keep their previous parameter value (without one, the
+estimate from the statistics pooled over all blocks) and are flagged in the
 ``degenerate`` mask so a temporarily empty class cannot poison the fit
 with NaNs.
 """
@@ -481,14 +488,9 @@ def _weighted_ratio(num, W, degen):
     return out
 
 
-def _apply_freeze(est, degen, prev, fallback):
-    """Frozen previous value (or pooled fallback) on degenerate blocks."""
-    if not np.any(degen):
-        return est
-    src = prev if prev is not None else fallback
-    if est.ndim == 2:
-        return np.where(degen, src, est)
-    return np.where(degen[..., None], src, est)
+def _frozen(est, degen, src):
+    """``est`` with ``src`` on the degenerate blocks (trailing axes broadcast)."""
+    return np.where(degen.reshape(degen.shape + (1,) * (est.ndim - 2)), src, est)
 
 
 def _symmetrize(a):
@@ -550,6 +552,67 @@ class _Family:
         return None
 
 
+class _StatFamily(_Family):
+    """A family with log f_ql(X_ij) = sum_k S_k[i, j] C_k[q, l] + mask[q, l] + c_ij
+    whose statistics S_k do not depend on the parameters.
+
+    The same statistics feed the scorer and the M-step, whose block sums
+    T_k = tau^T S_k tau and block weights W are all the estimate reads.  A
+    family declares:
+
+    * :meth:`statistics` -- the list of n x n arrays S_k, zero diagonals;
+    * :meth:`constant` -- the pair sum of c_ij, the terms that are the same
+      for every block (-log X!); only the scorer needs it;
+    * :meth:`coefficients` -- (the C_k, the (Q, Q) mask or None) of a record;
+    * :meth:`estimate` -- the parameter arrays by name from (T, W) on the
+      blocks that ``degen`` does not flag.
+
+    :meth:`weighted_mle` freezes the degenerate blocks, then :meth:`finish`
+    symmetrizes undirected estimates.
+    """
+
+    def statistics(self, graph, cov):
+        raise NotImplementedError
+
+    def constant(self, graph, cov):
+        return 0.0
+
+    def coefficients(self, params):
+        raise NotImplementedError
+
+    def estimate(self, T, W, degen):
+        raise NotImplementedError
+
+    def finish(self, est, directed):
+        """What follows the freeze: undirected estimates made symmetric."""
+        return est if directed else {k: _symmetrize(v) for k, v in est.items()}
+
+    def scorer(self, graph, cov):
+        stats = self.statistics(graph, cov)
+        fixed = self.constant(graph, cov)
+        directed = graph.directed
+
+        def make(params):
+            coeffs, mask = self.coefficients(params)
+            return DecomposedScores(stats, coeffs, directed, mask=mask, fixed=fixed)
+
+        return make
+
+    def weighted_mle(self, tau, graph, cov, prev=None):
+        W, degen = _block_weights(tau, graph.n)
+        T = [tau.T @ S @ tau for S in self.statistics(graph, cov)]
+        est = self.estimate(T, W, degen)
+        if np.any(degen):
+            if prev is not None:
+                src = prev.arrays()
+            else:
+                # the estimate from the sums pooled over all blocks
+                pooled = [t.sum(keepdims=True) for t in T]
+                src = self.estimate(pooled, W.sum(keepdims=True), np.zeros((1, 1), bool))
+            est = {k: _frozen(v, degen, src[k]) for k, v in est.items()}
+        return BlockParams(self.kind, degen, **self.finish(est, graph.directed))
+
+
 def _blockify(a, z):
     """Expand a (Q, Q, ...) block array to edge shape via labels z."""
     return a[np.ix_(z, z)]
@@ -565,33 +628,23 @@ def _edge_matrix(X, directed):
     return u + u.T
 
 
-class _PoissonFamily(_Family):
-    def scorer(self, graph, cov):
-        X = graph.scalar_values
-        directed = graph.directed
-        fixed = _pair_total(-gammaln(X + 1.0), directed)
+class _PoissonFamily(_StatFamily):
+    def statistics(self, graph, cov):
+        return [graph.scalar_values]
 
-        def make(params):
-            lam = params.lam
-            return DecomposedScores([X], [_safe_log(lam)], directed, mask=-lam, fixed=fixed)
+    def constant(self, graph, cov):
+        return _pair_total(-gammaln(graph.scalar_values + 1.0), graph.directed)
 
-        return make
+    def coefficients(self, params):
+        return [_safe_log(params.lam)], -params.lam
 
     def log_density(self, params, q, l, x, y=None):
         lam = float(params.lam[q, l])
         loglam = np.log(lam) if lam > 0 else LOG_ZERO
         return float(x * loglam - lam - gammaln(x + 1.0))
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
-        X = graph.scalar_values
-        W, degen = _block_weights(tau, graph.n)
-        num = tau.T @ X @ tau
-        lam = _weighted_ratio(num, W, degen)
-        pooled = num.sum() / max(W.sum(), 1e-300)
-        lam = _apply_freeze(lam, degen, None if prev is None else prev.lam, pooled)
-        if not graph.directed:
-            lam = _symmetrize(lam)
-        return PoissonParams(lam=lam, degenerate=degen)
+    def estimate(self, T, W, degen):
+        return {"lam": _weighted_ratio(T[0], W, degen)}
 
     def sample_matrix(self, params, z, rng, cov, directed):
         R = _blockify(params.lam, z)
@@ -686,7 +739,7 @@ class _PoissonRegFamily(_Family):
         return params.lam
 
 
-class _BernoulliFamily(_Family):
+class _BernoulliFamily(_StatFamily):
     def check_graph(self, graph, cov):
         super().check_graph(graph, cov)
         X = graph.scalar_values
@@ -694,16 +747,13 @@ class _BernoulliFamily(_Family):
         if not np.all(np.isin(X[off], (0.0, 1.0))):
             raise FamilyError("Bernoulli family expects 0/1 values")
 
-    def scorer(self, graph, cov):
-        X = graph.scalar_values
-        directed = graph.directed
+    def statistics(self, graph, cov):
+        return [graph.scalar_values]
 
-        def make(params):
-            logp = _safe_log(params.pi)
-            log1mp = _safe_log(1.0 - params.pi)
-            return DecomposedScores([X], [logp - log1mp], directed, mask=log1mp)
-
-        return make
+    def coefficients(self, params):
+        logp = _safe_log(params.pi)
+        log1mp = _safe_log(1.0 - params.pi)
+        return [logp - log1mp], log1mp
 
     def log_density(self, params, q, l, x, y=None):
         pi = float(params.pi[q, l])
@@ -711,16 +761,12 @@ class _BernoulliFamily(_Family):
         log1mp = np.log(1 - pi) if pi < 1 else LOG_ZERO
         return float(x * (logp - log1mp) + log1mp)
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
-        W, degen = _block_weights(tau, graph.n)
-        num = tau.T @ graph.scalar_values @ tau
-        pi = _weighted_ratio(num, W, degen)
-        pooled = num.sum() / max(W.sum(), 1e-300)
-        pi = _apply_freeze(pi, degen, None if prev is None else prev.pi, pooled)
-        pi = np.clip(pi, PROB_FLOOR, 1.0 - PROB_FLOOR)
-        if not graph.directed:
-            pi = _symmetrize(pi)
-        return BernoulliParams(pi=pi, degenerate=degen)
+    def estimate(self, T, W, degen):
+        return {"pi": _weighted_ratio(T[0], W, degen)}
+
+    def finish(self, est, directed):
+        pi = np.clip(est["pi"], PROB_FLOOR, 1.0 - PROB_FLOOR)
+        return super().finish({"pi": pi}, directed)
 
     def sample_matrix(self, params, z, rng, cov, directed):
         P = _blockify(params.pi, z)
@@ -731,24 +777,21 @@ class _BernoulliFamily(_Family):
         return params.pi
 
 
-class _MultinomialFamily(_Family):
+class _MultinomialFamily(_StatFamily):
     def check_graph(self, graph, cov):
         super().check_graph(graph, cov)
         if graph.num_labels != self.spec.num_labels:
             raise FamilyError("graph num_labels does not match the family spec")
 
-    def scorer(self, graph, cov):
-        m = self.spec.num_labels
+    def statistics(self, graph, cov):
+        # all m indicators: folding one into the mask would give
+        # (log p_k - LOG_ZERO) coefficients when p_m = 0
         M = _offdiag_mask(graph.n)
         X = graph.scalar_values
-        stats = [(X == k).astype(float) * M for k in range(1, m + 1)]
-        directed = graph.directed
+        return [(X == k).astype(float) * M for k in range(1, self.spec.num_labels + 1)]
 
-        def make(params):
-            coeffs = [_safe_log(params.probs[:, :, k]) for k in range(m)]
-            return DecomposedScores(stats, coeffs, directed)
-
-        return make
+    def coefficients(self, params):
+        return [_safe_log(params.probs[:, :, k]) for k in range(self.spec.num_labels)], None
 
     def log_density(self, params, q, l, x, y=None):
         k = int(x)
@@ -758,23 +801,15 @@ class _MultinomialFamily(_Family):
         p = float(params.probs[q, l, k - 1])
         return float(np.log(p)) if p > 0 else LOG_ZERO
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
-        m = self.spec.num_labels
-        X = graph.scalar_values
-        W, degen = _block_weights(tau, graph.n)
-        probs = np.zeros((tau.shape[1], tau.shape[1], m))
-        for k in range(1, m + 1):
-            Ik = (X == k).astype(float)
-            probs[:, :, k - 1] = _weighted_ratio(tau.T @ Ik @ tau, W, degen)
-        pooled = probs.reshape(-1, m).sum(axis=0)
-        pooled = pooled / max(pooled.sum(), 1e-300)
-        probs = _apply_freeze(probs, degen, None if prev is None else prev.probs, pooled)
+    def estimate(self, T, W, degen):
+        return {"probs": np.stack([_weighted_ratio(t, W, degen) for t in T], axis=-1)}
+
+    def finish(self, est, directed):
         # renormalize against accumulated rounding
+        probs = est["probs"]
         s = probs.sum(axis=-1, keepdims=True)
-        probs = np.divide(probs, s, out=np.full_like(probs, 1.0 / m), where=s > 0)
-        if not graph.directed:
-            probs = _symmetrize(probs)
-        return MultinomialParams(probs=probs, degenerate=degen)
+        probs = np.divide(probs, s, out=np.full_like(probs, 1.0 / probs.shape[-1]), where=s > 0)
+        return super().finish({"probs": probs}, directed)
 
     def sample_matrix(self, params, z, rng, cov, directed):
         P = _blockify(params.probs, z)  # (n, n, m)
@@ -789,36 +824,24 @@ class _MultinomialFamily(_Family):
         return params.probs @ labels
 
 
-class _GaussianFamily(_Family):
-    def scorer(self, graph, cov):
+class _GaussianFamily(_StatFamily):
+    def statistics(self, graph, cov):
         X = graph.scalar_values
-        X2 = X * X
-        directed = graph.directed
+        return [X, X * X]
 
-        def make(params):
-            mu, s2 = params.mu, params.sigma2
-            const = -0.5 * mu * mu / s2 - 0.5 * np.log(2.0 * np.pi * s2)
-            return DecomposedScores([X, X2], [mu / s2, -0.5 / s2], directed, mask=const)
-
-        return make
+    def coefficients(self, params):
+        mu, s2 = params.mu, params.sigma2
+        const = -0.5 * mu * mu / s2 - 0.5 * np.log(2.0 * np.pi * s2)
+        return [mu / s2, -0.5 / s2], const
 
     def log_density(self, params, q, l, x, y=None):
         mu, s2 = float(params.mu[q, l]), float(params.sigma2[q, l])
         return float(-0.5 * (x - mu) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2))
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
-        X = graph.scalar_values
-        W, degen = _block_weights(tau, graph.n)
-        num = tau.T @ X @ tau
-        mu = _weighted_ratio(num, W, degen)
-        ex2 = _weighted_ratio(tau.T @ (X * X) @ tau, W, degen)
-        sigma2 = np.maximum(ex2 - mu * mu, VAR_FLOOR)
-        pooled_mu = num.sum() / max(W.sum(), 1e-300)
-        mu = _apply_freeze(mu, degen, None if prev is None else prev.mu, pooled_mu)
-        sigma2 = _apply_freeze(sigma2, degen, None if prev is None else prev.sigma2, 1.0)
-        if not graph.directed:
-            mu, sigma2 = _symmetrize(mu), _symmetrize(sigma2)
-        return GaussianParams(mu=mu, sigma2=sigma2, degenerate=degen)
+    def estimate(self, T, W, degen):
+        mu = _weighted_ratio(T[0], W, degen)
+        ex2 = _weighted_ratio(T[1], W, degen)
+        return {"mu": mu, "sigma2": np.maximum(ex2 - mu * mu, VAR_FLOOR)}
 
     def sample_matrix(self, params, z, rng, cov, directed):
         mu = _blockify(params.mu, z)
@@ -830,7 +853,7 @@ class _GaussianFamily(_Family):
         return params.mu
 
 
-class _BivariateGaussianFamily(_Family):
+class _BivariateGaussianFamily(_StatFamily):
     @staticmethod
     def _precision(cov):
         det = cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
@@ -841,22 +864,19 @@ class _BivariateGaussianFamily(_Family):
         P[..., 1, 0] = -cov[..., 1, 0] / det
         return P, det
 
-    def scorer(self, graph, cov):
+    def statistics(self, graph, cov):
         X1 = graph.values[:, :, 0]
         X2 = graph.values[:, :, 1]
-        stats = [X1 * X1, X2 * X2, X1 * X2, X1, X2]
+        return [X1 * X1, X2 * X2, X1 * X2, X1, X2]
 
-        def make(params):
-            P, det = self._precision(params.cov)
-            mu = params.mu
-            pm = np.einsum("qlab,qlb->qla", P, mu)
-            const = (-0.5 * np.einsum("qla,qla->ql", mu, pm)
-                     - np.log(2.0 * np.pi) - 0.5 * np.log(det))
-            coeffs = [-0.5 * P[..., 0, 0], -0.5 * P[..., 1, 1], -P[..., 0, 1],
-                      pm[..., 0], pm[..., 1]]
-            return DecomposedScores(stats, coeffs, False, mask=const)
-
-        return make
+    def coefficients(self, params):
+        P, det = self._precision(params.cov)
+        mu = params.mu
+        pm = np.einsum("qlab,qlb->qla", P, mu)
+        const = (-0.5 * np.einsum("qla,qla->ql", mu, pm)
+                 - np.log(2.0 * np.pi) - 0.5 * np.log(det))
+        return [-0.5 * P[..., 0, 0], -0.5 * P[..., 1, 1], -P[..., 0, 1],
+                pm[..., 0], pm[..., 1]], const
 
     def log_density(self, params, q, l, x, y=None):
         v = np.asarray(x, dtype=float)
@@ -869,18 +889,10 @@ class _BivariateGaussianFamily(_Family):
         return float(-0.5 * d @ P @ d - np.log(2.0 * np.pi)
                      - 0.5 * np.log(np.linalg.det(cov)))
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
-        X1 = graph.values[:, :, 0]
-        X2 = graph.values[:, :, 1]
-        W, degen = _block_weights(tau, graph.n)
-        m1 = _weighted_ratio(tau.T @ X1 @ tau, W, degen)
-        m2 = _weighted_ratio(tau.T @ X2 @ tau, W, degen)
-        e11 = _weighted_ratio(tau.T @ (X1 * X1) @ tau, W, degen)
-        e22 = _weighted_ratio(tau.T @ (X2 * X2) @ tau, W, degen)
-        e12 = _weighted_ratio(tau.T @ (X1 * X2) @ tau, W, degen)
-        Q = tau.shape[1]
+    def estimate(self, T, W, degen):
+        e11, e22, e12, m1, m2 = (_weighted_ratio(t, W, degen) for t in T)
         mu = np.stack([m1, m2], axis=-1)
-        covm = np.empty((Q, Q, 2, 2))
+        covm = np.empty(W.shape + (2, 2))
         covm[..., 0, 0] = np.maximum(e11 - m1 * m1, VAR_FLOOR)
         covm[..., 1, 1] = np.maximum(e22 - m2 * m2, VAR_FLOOR)
         covm[..., 0, 1] = covm[..., 1, 0] = e12 - m1 * m2
@@ -891,15 +903,13 @@ class _BivariateGaussianFamily(_Family):
             shrink = np.sqrt(covm[..., 0, 0] * covm[..., 1, 1] / np.maximum(covm[..., 0, 1] ** 2, VAR_FLOOR))
             covm[..., 0, 1] = np.where(bad, covm[..., 0, 1] * shrink * (1 - 1e-9), covm[..., 0, 1])
             covm[..., 1, 0] = covm[..., 0, 1]
-        mu = _apply_freeze(mu, degen, None if prev is None else prev.mu,
-                           np.zeros(2))
-        if np.any(degen):
-            src = prev.cov if prev is not None else np.broadcast_to(np.eye(2), covm.shape)
-            covm = np.where(degen[..., None, None], src, covm)
+        return {"mu": mu, "cov": covm}
+
+    def finish(self, est, directed):
         # undirected symmetry swaps the two components across the block index
-        mu = 0.5 * (mu + mu.transpose(1, 0, 2)[..., ::-1])
-        covm = 0.5 * (covm + covm.transpose(1, 0, 2, 3)[..., ::-1, ::-1])
-        return BivariateGaussianParams(mu=mu, cov=covm, degenerate=degen)
+        mu, covm = est["mu"], est["cov"]
+        return {"mu": 0.5 * (mu + mu.transpose(1, 0, 2)[..., ::-1]),
+                "cov": 0.5 * (covm + covm.transpose(1, 0, 2, 3)[..., ::-1, ::-1])}
 
     def sample_matrix(self, params, z, rng, cov, directed):
         mu = _blockify(params.mu, z)       # (n, n, 2)
@@ -923,29 +933,26 @@ class _BivariateGaussianFamily(_Family):
         return params.mu[..., 0]
 
 
-class _LinearRegressionFamily(_Family):
-    def scorer(self, graph, cov):
+class _LinearRegressionFamily(_StatFamily):
+    """Statistics X^2, X y_d (d < p) and y_d y_e (d <= e), in that order."""
+
+    def statistics(self, graph, cov):
         X = graph.scalar_values
         Y = cov.y
         p = cov.p
-        XY = [X * Y[:, :, d] for d in range(p)]
-        YY = [_zero_diagonal(Y[:, :, d] * Y[:, :, e]) for d in range(p) for e in range(d, p)]
-        X2 = X * X
-        directed = graph.directed
+        return ([X * X] + [X * Y[:, :, d] for d in range(p)]
+                + [_zero_diagonal(Y[:, :, d] * Y[:, :, e]) for d in range(p) for e in range(d, p)])
 
-        def make(params):
-            beta, s2 = params.beta, params.sigma2
-            stats = [X2] + XY + YY
-            coeffs = [-0.5 / s2]
-            coeffs += [beta[:, :, d] / s2 for d in range(p)]
-            for d in range(p):
-                for e in range(d, p):
-                    w = 1.0 if d == e else 2.0
-                    coeffs.append(-0.5 * w * beta[:, :, d] * beta[:, :, e] / s2)
-            return DecomposedScores(stats, coeffs, directed,
-                                    mask=-0.5 * np.log(2.0 * np.pi * s2))
-
-        return make
+    def coefficients(self, params):
+        beta, s2 = params.beta, params.sigma2
+        p = beta.shape[-1]
+        coeffs = [-0.5 / s2]
+        coeffs += [beta[:, :, d] / s2 for d in range(p)]
+        for d in range(p):
+            for e in range(d, p):
+                w = 1.0 if d == e else 2.0
+                coeffs.append(-0.5 * w * beta[:, :, d] * beta[:, :, e] / s2)
+        return coeffs, -0.5 * np.log(2.0 * np.pi * s2)
 
     def log_density(self, params, q, l, x, y=None):
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -953,24 +960,18 @@ class _LinearRegressionFamily(_Family):
         mean = float(params.beta[q, l] @ y)
         return float(-0.5 * (x - mean) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2))
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
-        X = graph.scalar_values
-        Y = cov.y
-        p = cov.p
-        Q = tau.shape[1]
-        W, degen = _block_weights(tau, graph.n)
-        G = np.empty((Q, Q, p, p))
-        r = np.empty((Q, Q, p))
-        M = _offdiag_mask(graph.n)
+    def estimate(self, T, W, degen):
+        p = self.spec.covariate_dim
+        ex2, r = T[0], np.stack(T[1:1 + p], axis=-1)
+        G = np.empty(W.shape + (p, p))
+        cross = iter(T[1 + p:])
         for d in range(p):
-            r[:, :, d] = tau.T @ (X * Y[:, :, d]) @ tau
             for e in range(d, p):
-                G[:, :, d, e] = G[:, :, e, d] = tau.T @ (Y[:, :, d] * Y[:, :, e] * M) @ tau
-        ex2 = tau.T @ (X * X) @ tau
-        beta = np.zeros((Q, Q, p))
-        sigma2 = np.ones((Q, Q))
-        for q in range(Q):
-            for l in range(Q):
+                G[..., d, e] = G[..., e, d] = next(cross)
+        beta = np.zeros(W.shape + (p,))
+        sigma2 = np.ones(W.shape)
+        for q in range(W.shape[0]):
+            for l in range(W.shape[1]):
                 if degen[q, l]:
                     continue
                 try:
@@ -980,14 +981,7 @@ class _LinearRegressionFamily(_Family):
                 beta[q, l] = b
                 rss = ex2[q, l] - 2.0 * b @ r[q, l] + b @ G[q, l] @ b
                 sigma2[q, l] = max(rss / W[q, l], VAR_FLOOR)
-        if np.any(degen):
-            beta = _apply_freeze(beta, degen, None if prev is None else prev.beta,
-                                 np.zeros(p))
-            sigma2 = np.where(degen, prev.sigma2 if prev is not None else 1.0, sigma2)
-        if not graph.directed:
-            beta = _symmetrize(beta)
-            sigma2 = _symmetrize(sigma2)
-        return LinearRegressionParams(beta=beta, sigma2=sigma2, degenerate=degen)
+        return {"beta": beta, "sigma2": sigma2}
 
     def sample_matrix(self, params, z, rng, cov, directed):
         B = _blockify(params.beta, z)
@@ -1055,7 +1049,8 @@ class _SimpleRegressionFamily(_Family):
         rss = (sxx - 2 * a * sx - 2 * b * sxy + a * a * W
                + 2 * a * b * sy + b * b * syy)
         sigma2 = max(np.where(ok, rss, 0.0).sum() / max(W.sum(), 1e-300), VAR_FLOOR)
-        a = _apply_freeze(a, degen, None if prev is None else prev.intercept, 0.0)
+        if np.any(degen):
+            a = _frozen(a, degen, 0.0 if prev is None else prev.intercept)
         if not graph.directed:
             a = _symmetrize(a)
         return SimpleRegressionParams(intercept=a, slope=float(b), sigma2=float(sigma2),
@@ -1126,28 +1121,6 @@ def get_family(spec: FamilySpec) -> _Family:
 # Poisson regression (weighted GLM) fitting
 
 
-def _poisson_regression_objective(tau, X, Y, mask, lam, beta, shared):
-    """Exact weighted Poisson log-likelihood (without the x! constant)."""
-    loglam = _safe_log(lam)
-    A = tau.T @ X @ tau
-    if shared:
-        g = Y @ beta
-        E = np.exp(g) * mask
-        B = tau.T @ E @ tau
-        cross = (X * g).sum()
-        return float(np.sum(np.where(A > 0, A * loglam, 0.0)) + cross - np.sum(lam * B))
-    Q = lam.shape[0]
-    val = 0.0
-    for q in range(Q):
-        for l in range(Q):
-            g = Y @ beta[q, l]
-            E = np.exp(g) * mask
-            B = (tau[:, q] @ E @ tau[:, l])
-            cross = tau[:, q] @ (X * g) @ tau[:, l]
-            val += (A[q, l] * loglam[q, l] if A[q, l] > 0 else 0.0) + cross - lam[q, l] * B
-    return float(val)
-
-
 def _newton_profile(A_vec, c_vec, B_fun, beta0, label):
     """Maximize h(beta) = c . beta - sum_r A_r log B_r(beta) by Newton with
     step halving.  ``B_fun(beta)`` returns (B, gradB, hessB) with shapes
@@ -1157,10 +1130,13 @@ def _newton_profile(A_vec, c_vec, B_fun, beta0, label):
     pos = A_vec > 0
 
     def h(b):
-        B = B_fun(b, order=0)
-        if np.any(B[pos] <= 0):
+        # a trial step may overflow exp(Y . b): such a point is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = B_fun(b, order=0)
+        B = B[pos]
+        if not np.all(np.isfinite(B)) or np.any(B <= 0):
             return -np.inf
-        return float(c_vec @ b - np.sum(A_vec[pos] * np.log(B[pos])))
+        return float(c_vec @ b - np.sum(A_vec[pos] * np.log(B)))
 
     val = h(beta)
     for it in range(REG_MAX_ITER):
@@ -1206,6 +1182,33 @@ def _newton_profile(A_vec, c_vec, B_fun, beta0, label):
     return beta
 
 
+def _glm_sums(left, right, Y, mask):
+    """``B_fun`` for :func:`_newton_profile`: the weighted sums
+    B = left^T E right of E_ij = exp(Y_ij . beta) off the diagonal, and
+    their first and second derivatives in beta, flattened over the blocks.
+    PRMH weighs with (tau, tau), PRMI block (q, l) with the columns
+    (tau[:, q], tau[:, l]), which make B a scalar."""
+    p = Y.shape[-1]
+
+    def B_fun(beta, order=2):
+        E = np.exp(Y @ beta) * mask
+        B = (left.T @ E @ right).ravel()
+        if order == 0:
+            return B
+        gB = np.stack([(left.T @ (E * Y[:, :, d]) @ right).ravel() for d in range(p)],
+                      axis=1)
+        if order == 1:
+            return B, gB, None
+        hB = np.empty((B.size, p, p))
+        for d in range(p):
+            for e in range(d, p):
+                v = (left.T @ (E * Y[:, :, d] * Y[:, :, e]) @ right).ravel()
+                hB[:, d, e] = hB[:, e, d] = v
+        return B, gB, hB
+
+    return B_fun
+
+
 def _poisson_regression_fit(tau, graph, cov, shared, warm_start=None):
     """Weighted Poisson-regression M-step.
 
@@ -1224,27 +1227,9 @@ def _poisson_regression_fit(tau, graph, cov, shared, warm_start=None):
     if shared:
         beta0 = np.zeros(p) if warm_start is None else np.asarray(warm_start[1], dtype=float)
         c = np.array([(X * Y[:, :, d]).sum() for d in range(p)])
-        A_vec = A.ravel()
-
-        def B_fun(beta, order=2):
-            E = np.exp(Y @ beta) * mask
-            B = (tau.T @ E @ tau).ravel()
-            if order == 0:
-                return B
-            gB = np.stack([(tau.T @ (E * Y[:, :, d]) @ tau).ravel() for d in range(p)],
-                          axis=1)
-            if order == 1:
-                return B, gB, None
-            hB = np.empty((B.size, p, p))
-            for d in range(p):
-                for e in range(d, p):
-                    v = (tau.T @ (E * Y[:, :, d] * Y[:, :, e]) @ tau).ravel()
-                    hB[:, d, e] = hB[:, e, d] = v
-            return B, gB, hB
-
-        beta = _newton_profile(A_vec, c, B_fun, beta0, "shared-beta fit")
-        E = np.exp(Y @ beta) * mask
-        B = tau.T @ E @ tau
+        B_fun = _glm_sums(tau, tau, Y, mask)
+        beta = _newton_profile(A.ravel(), c, B_fun, beta0, "shared-beta fit")
+        B = B_fun(beta, order=0).reshape(Q, Q)
         lam = np.where(B > 0, A / np.maximum(B, 1e-300), 0.0)
     else:
         beta = np.zeros((Q, Q, p)) if warm_start is None else np.array(warm_start[1], dtype=float)
@@ -1255,23 +1240,8 @@ def _poisson_regression_fit(tau, graph, cov, shared, warm_start=None):
             if degen[q, l]:
                 continue
             c_ql = np.array([tau[:, q] @ (X * Y[:, :, d]) @ tau[:, l] for d in range(p)])
-            A_vec = np.array([A[q, l]])
-
-            def B_fun(b, order=2, q=q, l=l):
-                E = np.exp(Y @ b) * mask
-                B = np.array([tau[:, q] @ E @ tau[:, l]])
-                if order == 0:
-                    return B
-                gB = np.array([[tau[:, q] @ (E * Y[:, :, d]) @ tau[:, l] for d in range(p)]])
-                if order == 1:
-                    return B, gB, None
-                hB = np.empty((1, p, p))
-                for d in range(p):
-                    for e in range(d, p):
-                        hB[0, d, e] = hB[0, e, d] = tau[:, q] @ (E * Y[:, :, d] * Y[:, :, e]) @ tau[:, l]
-                return B, gB, hB
-
-            b = _newton_profile(A_vec, c_ql, B_fun, beta[q, l], f"block ({q},{l})")
+            B_fun = _glm_sums(tau[:, q], tau[:, l], Y, mask)
+            b = _newton_profile(A[q, l].reshape(1), c_ql, B_fun, beta[q, l], f"block ({q},{l})")
             B = B_fun(b, order=0)[0]
             beta[q, l] = b
             lam[q, l] = A[q, l] / B if B > 0 else 0.0
@@ -1281,9 +1251,9 @@ def _poisson_regression_fit(tau, graph, cov, shared, warm_start=None):
 
     if np.any(degen):
         if warm_start is not None:
-            lam = np.where(degen, warm_start[0], lam)
+            lam = _frozen(lam, degen, warm_start[0])
             if not shared:
-                beta = np.where(degen[..., None], warm_start[1], beta)
+                beta = _frozen(beta, degen, warm_start[1])
         else:
             pooled = A.sum() / max(W.sum(), 1e-300)
             lam = np.where(degen, pooled, lam)
@@ -1314,8 +1284,8 @@ def weighted_mle(spec: FamilySpec, tau, graph: ValuedGraph, cov: EdgeCovariates 
     ``tau`` is (n, Q); the weight of edge (i, j) in block (q, l) is
     tau[i, q] * tau[j, l].  Closed forms for the classical families, Newton
     on the weighted GLM objective for the Poisson regressions.  Blocks with
-    vanishing weight keep ``prev``'s value and are flagged in the result's
-    ``degenerate`` mask.
+    vanishing weight keep ``prev``'s value (without ``prev``, a value pooled
+    over all blocks) and are flagged in the result's ``degenerate`` mask.
     """
     fam = get_family(spec)
     fam.check_graph(graph, cov)

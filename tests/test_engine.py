@@ -431,6 +431,29 @@ def test_fit_accepts_any_numpy_seed_and_keeps_integer_streams():
     assert np.array_equal(c.posterior.tau, d.posterior.tau)
 
 
+def test_fit_keeps_the_earliest_of_restarts_that_tie(monkeypatch):
+    # restart 1 ends 1e-15 relative above restart 0: a tie up to rounding,
+    # which must not decide between them
+    from blockfit import engine
+
+    g, _ = sample_poisson([[4.0, 1.0], [1.0, 3.0]], [0.5, 0.5], 12, seed=0)
+    params = pois_params([[4.0, 1.0], [1.0, 3.0]])
+    J = -123.456
+    starts, finals = [], [J, J + 1e-15 * abs(J)]
+
+    def fake_run_em(graph, spec, scorer, tau0, *args):
+        starts.append(tau0)
+        return {"params": params, "tau": tau0, "trajectory": [J, finals[len(starts) - 1]],
+                "converged": True, "iterations": 1, "estep_unconverged": 0,
+                "estep_sweeps": 0, "estep_backtracks": 0, "estep_converged": True}
+
+    monkeypatch.setattr(engine, "_run_em", fake_run_em)
+    fr = bf.fit(g, POISSON, 2, seed=0, restarts=2)
+    assert len(starts) == 2 and finals[1] > finals[0]
+    assert not np.array_equal(starts[0], starts[1])
+    assert np.array_equal(fr.posterior.tau, starts[0]) and fr.bound == J
+
+
 def test_posterior_reports_final_estep_convergence():
     g, _ = sample_poisson([[2.0, 1.5], [1.5, 2.0]], [0.5, 0.5], 30, seed=0)
     assert bf.fit(g, POISSON, 2, seed=1, restarts=1).posterior.converged is True

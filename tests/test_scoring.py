@@ -25,8 +25,10 @@ from blockfit.engine import (
     estep_fixed_point,
     init_partition,
     lower_bound,
+    mstep,
 )
 from blockfit.families import (
+    FAMILIES,
     FAMILY_KINDS,
     BernoulliParams,
     BivariateGaussianParams,
@@ -261,6 +263,38 @@ def test_estep_bound_never_decreases_with_more_sweeps(kind, directed, n, Q, seed
         post = estep_fixed_point(g, spec, mix, tau0, cov, max_sweeps=k)
         bounds.append(lower_bound(g, spec, post.tau, mix, cov))
     assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(bounds, bounds[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(FAMILY_KINDS), directed=st.booleans(), n=st.integers(3, 8),
+       Q=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_mstep_does_not_lower_the_bound_and_freezes_empty_blocks(kind, directed, n, Q, seed):
+    directed = directed and kind != "bigauss"
+    rng = np.random.default_rng(seed)
+    g, cov, spec, params = _instance(kind, rng, n, Q, directed)
+    mix = MixtureParams(alpha=rng.dirichlet(np.ones(Q)), theta=params)
+    tau = rng.dirichlet(np.ones(Q), size=n)
+    half = 1.0 if directed else 0.5
+    scale = half * np.einsum("iq,qlij,jl->", tau, np.abs(_oracle_tensor(g, cov, spec, params)), tau)
+    new = mstep(g, spec, tau, cov, prev=params)
+    assert lower_bound(g, spec, tau, new, cov) >= lower_bound(g, spec, tau, mix, cov) - 1e-9 * scale
+
+    # a tau whose last class is empty: every block of that class keeps prev
+    if Q == 1:
+        return
+    empty = np.zeros((n, Q))
+    empty[:, :-1] = rng.dirichlet(np.ones(Q - 1), size=n)
+    theta = mstep(g, spec, empty, cov, prev=params).theta
+    degen = theta.degenerate
+    assert degen[-1].all() and degen[:, -1].all()
+    for arr in FAMILIES[kind].params:
+        if not arr.blockwise:
+            continue
+        want = getattr(params, arr.name)[degen]
+        if kind == "multinomial":
+            # the M-step renormalizes every block after the freeze
+            want = want / want.sum(axis=-1, keepdims=True)
+        assert np.array_equal(getattr(theta, arr.name)[degen], want)
 
 
 def test_bigauss_statistics_are_built_once_per_graph():
