@@ -27,6 +27,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 from scipy.special import logsumexp, xlogy
@@ -231,22 +232,35 @@ def mstep(graph: ValuedGraph, spec, tau, cov: EdgeCovariates | None = None,
     return MixtureParams(alpha=alpha, theta=theta)
 
 
+def _dense(a):
+    return a.toarray() if sparse.issparse(a) else a
+
+
 def _profile_distances(graph: ValuedGraph) -> np.ndarray:
     """Condensed Euclidean distances between the nodes' edge-value profiles.
 
     The profile of node i is the row [A_i, B_i], with (A, B) = (X, X^T), or
     the two channels of paired values.  The squared distances are
-    sq_i + sq_j - 2 G_ij from the Gram matrix G = A A^T + B B^T, two matrix
-    products instead of a pairwise loop over the n x 2n profiles.
+    sq_i + sq_j - 2 G_ij from the Gram matrix G = A A^T + B B^T, matrix
+    products instead of a pairwise loop over the n x 2n profiles.  A
+    symmetric X gives G = 2 X X^T, one product; the graph's CSR view, when
+    it has one, forms it from the non-zero entries before G is made dense.
     """
-    if graph.value_kind == "paired":
-        A, B = graph.values[:, :, 0], graph.values[:, :, 1]
-    else:
-        A, B = graph.values, graph.values.T
     # overflowing profiles give inf/nan here, which the linkage refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        G = A @ A.T
-        G += B @ B.T
+        if graph.value_kind == "paired":
+            A, B = graph.values[:, :, 0], graph.values[:, :, 1]
+            G = A @ A.T
+            G += B @ B.T
+        else:
+            X = graph.sparse_values
+            if X is None:
+                X = graph.values
+            G = _dense(X @ X.T)
+            if graph.directed:
+                G += _dense(X.T @ X)
+            else:
+                G *= 2.0
         sq = G.diagonal().copy()
         G *= -2.0
         G += sq[:, None]

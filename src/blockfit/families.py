@@ -11,7 +11,9 @@ Every family answers three questions for the fitting engine:
   and every term that is the same for all blocks (-log X!, PRMH's X * g,
   simplereg's shared-slope terms) is summed once into the scalar ``fixed``,
   which the E-step's softmax never needs.  Poisson thus costs one n x n
-  product per E-sweep and orientation;
+  product per E-sweep and orientation, and Poisson and Bernoulli take the
+  graph's CSR view as their statistic when it has one, which makes that
+  product and every block sum O(nnz Q);
 * estimation -- the maximizer of the weighted log-likelihood
   sum_{i != j} tau_iq tau_jl log f_ql(X_ij).  The six exponential families
   with block-free statistics (Poisson, Bernoulli, multinomial, Gaussian,
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.special import gammaln
 
 from .errors import FamilyError, NumericalError, SingularBlockError
@@ -298,7 +301,10 @@ class DecomposedScores:
                         + mask[q, l] + c_ij   (i != j).
 
     All stats carry a zero diagonal, so sums over j automatically exclude
-    j = i.  Two parts need no n x n statistic:
+    j = i.  A statistic may be a ``scipy.sparse`` CSR array (the graph's
+    :attr:`~blockfit.graph.ValuedGraph.sparse_values`); every product puts
+    it on the left, so it stays sparse until :meth:`dense`.  Two parts need
+    no n x n statistic:
 
     * ``mask`` -- the (Q, Q) coefficient of the off-diagonal indicator
       (log(1 - pi), -lam, normalizing constants).  Its product with tau has
@@ -311,7 +317,7 @@ class DecomposedScores:
     """
 
     def __init__(self, stats, coeffs, directed, mask=None, fixed=0.0):
-        self.stats = [np.asarray(s) for s in stats]
+        self.stats = [s if sparse.issparse(s) else np.asarray(s) for s in stats]
         self.coeffs = [np.asarray(c, dtype=float) for c in coeffs]
         self.directed = directed
         self.mask = None if mask is None else np.asarray(mask, dtype=float)
@@ -339,7 +345,7 @@ class DecomposedScores:
         """sum over pairs (ordered, or i<j when undirected) of ttlogf."""
         t = 0.0
         for S, C in zip(self.stats, self.coeffs):
-            t += np.sum((tau.T @ S @ tau) * C)
+            t += np.sum(_block_sums(S, tau) * C)
         if self.mask is not None:
             col = tau.sum(axis=0)
             t += np.sum((np.outer(col, col) - tau.T @ tau) * self.mask)
@@ -347,7 +353,7 @@ class DecomposedScores:
 
     def dense(self):
         """(Q, Q, n, n) tensor of the block-dependent part (without ``fixed``)."""
-        S = np.stack(self.stats)
+        S = np.stack([s.toarray() if sparse.issparse(s) else s for s in self.stats])
         C = np.stack(self.coeffs)
         L = np.einsum("kql,kij->qlij", C, S)
         if self.mask is not None:
@@ -468,9 +474,30 @@ def _pair_total(S, directed):
     return t if directed else 0.5 * t
 
 
+def _log_factorial_total(graph):
+    """-sum of log X_ij! over the pairs, read from the entries X_ij > 1 only
+    (log 0! = log 1! = 0), through the CSR view when the graph has one."""
+    S = graph.sparse_values
+    x = graph.scalar_values if S is None else S.data
+    t = -float(gammaln(x[x > 1.0] + 1.0).sum())
+    return t if graph.directed else 0.5 * t
+
+
+def _scalar_statistic(graph):
+    """The scalar values as a statistic: the CSR view when the graph has one."""
+    S = graph.sparse_values
+    return graph.scalar_values if S is None else S
+
+
 def _zero_diagonal(S):
     np.fill_diagonal(S, 0.0)
     return S
+
+
+def _block_sums(S, tau):
+    """T[q, l] = sum_ij tau_iq S_ij tau_jl.  A CSR statistic is multiplied
+    from the left, O(nnz Q); a dense one keeps (tau^T S) tau."""
+    return tau.T @ (S @ tau) if sparse.issparse(S) else tau.T @ S @ tau
 
 
 def _block_weights(tau, n):
@@ -600,7 +627,7 @@ class _StatFamily(_Family):
 
     def weighted_mle(self, tau, graph, cov, prev=None):
         W, degen = _block_weights(tau, graph.n)
-        T = [tau.T @ S @ tau for S in self.statistics(graph, cov)]
+        T = [_block_sums(S, tau) for S in self.statistics(graph, cov)]
         est = self.estimate(T, W, degen)
         if np.any(degen):
             if prev is not None:
@@ -630,10 +657,10 @@ def _edge_matrix(X, directed):
 
 class _PoissonFamily(_StatFamily):
     def statistics(self, graph, cov):
-        return [graph.scalar_values]
+        return [_scalar_statistic(graph)]
 
     def constant(self, graph, cov):
-        return _pair_total(-gammaln(graph.scalar_values + 1.0), graph.directed)
+        return _log_factorial_total(graph)
 
     def coefficients(self, params):
         return [_safe_log(params.lam)], -params.lam
@@ -666,7 +693,7 @@ class _PoissonRegFamily(_Family):
         directed = graph.directed
 
         if self.shared:
-            log_fact = _pair_total(-gammaln(X + 1.0), directed)
+            log_fact = _log_factorial_total(graph)
 
             def make(params):
                 g = Y @ params.beta
@@ -748,7 +775,7 @@ class _BernoulliFamily(_StatFamily):
             raise FamilyError("Bernoulli family expects 0/1 values")
 
     def statistics(self, graph, cov):
-        return [graph.scalar_values]
+        return [_scalar_statistic(graph)]
 
     def coefficients(self, params):
         logp = _safe_log(params.pi)
@@ -1140,15 +1167,19 @@ def _newton_profile(A_vec, c_vec, B_fun, beta0, label):
 
     val = h(beta)
     for it in range(REG_MAX_ITER):
-        B, gB, hB = B_fun(beta, order=2)
-        ratio = np.where(pos, A_vec / np.maximum(B, 1e-300), 0.0)
-        grad = c_vec - gB.T @ ratio
+        # far from the optimum exp(Y . beta) or ratio / B can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            B, gB, hB = B_fun(beta, order=2)
+            ratio = np.where(pos, A_vec / np.maximum(B, 1e-300), 0.0)
+            grad = c_vec - gB.T @ ratio
+            # negative Hessian of h (positive semidefinite)
+            Hneg = np.einsum("r,rde->de", ratio, hB)
+            Hneg -= np.einsum("r,rd,re->de", ratio / np.maximum(B, 1e-300), gB, gB)
         gnorm = np.max(np.abs(grad)) if grad.size else 0.0
         if gnorm <= REG_GRAD_TOL:
             break
-        # negative Hessian of h (positive semidefinite)
-        Hneg = np.einsum("r,rde->de", ratio, hB)
-        Hneg -= np.einsum("r,rd,re->de", ratio / np.maximum(B, 1e-300), gB, gB)
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(Hneg))):
+            raise NumericalError(f"Poisson regression overflowed in {label}")
         Hneg += 1e-12 * np.eye(len(beta)) * max(1.0, np.trace(Hneg))
         try:
             step = np.linalg.solve(Hneg, grad)

@@ -5,19 +5,37 @@ values) whose diagonal is structurally zero and never read: every model in
 this package sums over i != j only.  Undirected graphs store a symmetric
 array so that reading (i, j) and (j, i) always agrees; for the paired kind
 the two components swap under transposition.
+
+Count and binary graphs are often mostly zeros.  Below ``CSR_MAX_DENSITY``
+a graph also offers its scalar values as a cached CSR view
+(:attr:`ValuedGraph.sparse_values`), from which the Poisson and Bernoulli
+statistics and the Ward start read only the non-zero entries; the dense
+``values`` stay the canonical storage.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import GraphBuildError
 
 VALUE_KINDS = ("count", "real", "label", "paired")
+
+# Largest fraction of non-zero scalar values (over all n^2 entries) at which
+# a graph offers its CSR view.  The CSR products of the E-step pay off up to
+# about 30 % density, the sparse Gram product of the Ward start only below
+# about 3-5 %.  On n = 1000 Poisson fits with Q = 3 (one Xeon core, one
+# BLAS thread) the CSR fit, view included, is 2x faster at 1.5 % density.
+# At 5 % it is 1.1x slower for a fit of 2 EM iterations, where the Ward
+# start dominates, and 3x faster for one of 13; at 6.6 %, 1.4x slower and
+# 1.8x faster.
+CSR_MAX_DENSITY = 0.05
 
 
 def _freeze(a):
@@ -156,6 +174,18 @@ class ValuedGraph:
     def scalar_values(self) -> np.ndarray:
         """The (n, n) matrix of X_ij (first component for the paired kind)."""
         return self.values[:, :, 0] if self.value_kind == "paired" else self.values
+
+    @cached_property
+    def sparse_values(self) -> sparse.csr_array | None:
+        """:attr:`scalar_values` as a CSR array when at most a fraction
+        ``CSR_MAX_DENSITY`` of its entries is non-zero, else None.
+
+        Built on first use and kept: the values are immutable.
+        """
+        X = self.scalar_values
+        if np.count_nonzero(X) > CSR_MAX_DENSITY * X.size:
+            return None
+        return sparse.csr_array(X)
 
     def offdiag_mask(self) -> np.ndarray:
         return ~np.eye(self.n, dtype=bool)

@@ -5,15 +5,20 @@ The decomposed scores are checked against the (Q, Q, n, n) tensor of
 scalar ``log_density`` values, which shares no code with the sum-of-products
 path; the E-step's change in J against two ``lower_bound`` calls; the
 Gram-matrix profile distances against ``pdist`` on the explicit n x 2n
-profile matrix.
+profile matrix; the CSR statistics of sparse count graphs against the same
+scores built on the dense array.
 """
 
+import warnings
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import pdist
-from scipy.special import xlogy
+from scipy.special import gammaln, xlogy
 
 from blockfit import FamilySpec, ValuedGraph
 from blockfit.engine import (
@@ -27,11 +32,14 @@ from blockfit.engine import (
     lower_bound,
     mstep,
 )
+from blockfit.errors import NumericalError
 from blockfit.families import (
     FAMILIES,
     FAMILY_KINDS,
+    PROB_FLOOR,
     BernoulliParams,
     BivariateGaussianParams,
+    DecomposedScores,
     DenseScores,
     GaussianParams,
     LinearRegressionParams,
@@ -39,9 +47,10 @@ from blockfit.families import (
     PoissonParams,
     PoissonRegParams,
     SimpleRegressionParams,
+    expfam_mle,
     get_family,
 )
-from blockfit.graph import EdgeCovariates
+from blockfit.graph import CSR_MAX_DENSITY, EdgeCovariates
 
 NUM_LABELS = 3
 P = 2  # covariate dimension (simplereg: 1)
@@ -71,6 +80,8 @@ def _profile(g):
 INTEGER_KINDS = {
     "count": ("count", lambda rng, shape: rng.integers(0, 10 ** 6, shape)),
     "binary": ("count", lambda rng, shape: rng.integers(0, 2, shape)),
+    "sparse-count": ("count", lambda rng, shape: (
+        rng.integers(0, 10 ** 6, shape) * (rng.random(shape) < 0.03))),
     "label": ("label", lambda rng, shape: rng.integers(1, NUM_LABELS + 1, shape)),
     "paired-int": ("paired", lambda rng, shape: rng.integers(-50, 50, shape)),
 }
@@ -270,6 +281,10 @@ def test_estep_bound_never_decreases_with_more_sweeps(kind, directed, n, Q, seed
        Q=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_mstep_does_not_lower_the_bound_and_freezes_empty_blocks(kind, directed, n, Q, seed):
     directed = directed and kind != "bigauss"
+    # a Poisson regression on at most 1 + p pairs need have no finite MLE
+    # (undirected n = 3); test_newton_without_a_finite_mle_raises pins one
+    pairs = n * (n - 1) if directed else n * (n - 1) // 2
+    assume(kind not in ("poisson-prmh", "poisson-prmi") or pairs > 1 + P)
     rng = np.random.default_rng(seed)
     g, cov, spec, params = _instance(kind, rng, n, Q, directed)
     mix = MixtureParams(alpha=rng.dirichlet(np.ones(Q)), theta=params)
@@ -304,3 +319,75 @@ def test_bigauss_statistics_are_built_once_per_graph():
     first, second = make(params), make(params)
     assert len(first.stats) == 5
     assert all(a is b for a, b in zip(first.stats, second.stats))
+
+
+# 16044 ... 19473 overflowed in the Newton Hessian; 58755 walked past
+# REG_BETA_BOUND.  Each is an undirected n = 3 draw: 3 pairs for 1 + p = 3
+# parameters.
+@pytest.mark.parametrize("seed", [16044, 16085, 17671, 17736, 19473, 58755])
+def test_newton_without_a_finite_mle_raises(seed):
+    rng = np.random.default_rng(seed)
+    g, cov, spec, params = _instance("poisson-prmh", rng, 3, 1, False)
+    rng.dirichlet(np.ones(1))  # the M half-step test's alpha
+    tau = rng.dirichlet(np.ones(1), size=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            mstep(g, spec, tau, cov, prev=params)
+
+
+# ---------------------------------------------------------------------------
+# CSR statistics of sparse count graphs
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["poisson", "bernoulli"]), directed=st.booleans(),
+       n=st.integers(10, 40), Q=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_csr_statistics_agree_with_the_dense_array(kind, directed, n, Q, seed):
+    rng = np.random.default_rng(seed)
+    _, _, spec, params = _instance(kind, rng, n, Q, directed)
+    # at most CSR_MAX_DENSITY * n^2 non-zero entries, counting both mirrors
+    off = np.flatnonzero(~np.eye(n, dtype=bool) & (directed | np.triu(np.ones((n, n), bool))))
+    nnz = rng.integers(0, int(CSR_MAX_DENSITY * n * n) // (1 if directed else 2) + 1)
+    vals = np.zeros(n * n)
+    vals[rng.choice(off, nnz, replace=False)] = (
+        rng.integers(1, 8, nnz) if kind == "poisson" else 1.0)
+    X = _mirror(vals.reshape(n, n), directed)
+    g = ValuedGraph.from_matrix(X, directed)
+    assert isinstance(g.sparse_values, sparse.csr_array)
+
+    # the Ward start takes the CSR Gram product, bit for bit
+    assert np.array_equal(_profile_distances(g), pdist(_profile(g)))
+
+    fam = get_family(spec)
+    ops = fam.scorer(g, None)(params)
+    assert sparse.issparse(ops.stats[0])
+    log_fact = -gammaln(X + 1.0).sum() * (1.0 if directed else 0.5)
+    ref = DecomposedScores([X], ops.coeffs, directed, mask=ops.mask, fixed=log_fact)
+    tau = rng.dirichlet(np.ones(Q), size=n)
+
+    D, want = ops.node_scores(tau), ref.node_scores(tau)
+    assert isinstance(D, np.ndarray)
+    assert np.max(np.abs(D - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    edge = ref.edge_term(tau)
+    assert abs(ops.edge_term(tau) - edge) <= 1e-9 * max(1.0, abs(edge))
+    mix = MixtureParams(alpha=rng.dirichlet(np.ones(Q)), theta=params)
+    J = -xlogy(tau, tau).sum() + tau.sum(axis=0) @ np.log(mix.alpha) + edge
+    assert abs(lower_bound(g, spec, tau, mix) - J) <= 1e-9 * max(1.0, abs(J))
+    assert np.array_equal(ops.dense(), ref.dense())
+
+    # the M-step's block means against the dense weighted sums
+    got = getattr(fam.weighted_mle(tau, g, None), FAMILIES[kind].params[0].name)
+    mean = expfam_mle(lambda x: x, lambda t: t, lambda m: m, tau, g)
+    if kind == "bernoulli":
+        mean = np.clip(mean, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    assert np.max(np.abs(got - mean)) <= 1e-9 * max(1e-300, np.max(np.abs(mean)))
+
+    # row-at-a-time scores on the CSR statistic stay equal to node_scores
+    state = ops.gs_state(tau.copy())
+    for i in rng.permutation(n)[: n // 2]:
+        state.set_row(i, rng.dirichlet(np.ones(Q)))
+    D = ops.node_scores(state.tau)
+    for i in range(n):
+        np.testing.assert_allclose(state.row_score(i), D[i], rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(D))))
