@@ -108,14 +108,44 @@ def _normalize_rows(tau):
 
 
 def _softmax_rows(scores):
-    """Row softmax, clipped and renormalized as by :func:`_normalize_rows` in
-    one buffer (entries are <= 1 before the clip, so the lower clip suffices)."""
-    e = scores - scores.max(axis=1, keepdims=True)
+    """Row softmax, clipped and renormalized as by :func:`_normalize_rows`,
+    returned as the transpose of a class-major (Q, n) buffer.
+
+    Reducing along axis 0 of that buffer is about 4x faster than along
+    rows of Q entries at n = 1000, Q = 3.  The buffer is forced to be a
+    copy: at Q = 1 the transpose of an (n, 1) array is already contiguous,
+    and a view would let the softmax overwrite ``scores``.  The class sums
+    keep numpy's row-sum order (:func:`_class_sums`), so the result is
+    bit-identical to the row-wise softmax.  Entries are <= 1 before the
+    clip, so the lower clip suffices.
+    """
+    e = np.array(scores.T, order="C")
+    e -= e.max(axis=0)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= _class_sums(e)
     np.maximum(e, TAU_EPS, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    e /= _class_sums(e)
+    return e.T
+
+
+def _class_sums(e):
+    """Sums over axis 0 of a (Q, n) array, adding in the order of numpy's
+    pairwise sum along a row of Q entries: one by one below 8 entries, in 8
+    interleaved partial sums up to 128, halves (cut at a multiple of 8)
+    beyond."""
+    Q = e.shape[0]
+    if Q < 8:
+        return e.sum(axis=0)
+    if Q > 128:
+        half = Q // 2 - (Q // 2) % 8
+        return _class_sums(e[:half]) + _class_sums(e[half:])
+    r = e[:8].copy()
+    for i in range(8, Q - Q % 8, 8):
+        r += e[i:i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(Q - Q % 8, Q):
+        s += e[i]
+    return s
 
 
 def _log_alpha(alpha):
@@ -172,7 +202,11 @@ def _estep_core(ops, log_alpha, tau, tol, max_sweeps):
     tau + t (P - tau), t = 1, 1/2, ... (renormalized when t < 1) whose J
     does not fall, or returns tau unconverged below ``ESTEP_MIN_STEP``.
     Returns (tau, converged, sweeps, backtracks), counting accepted steps
-    and rejected candidates; each, like the entry, costs one product.
+    and rejected candidates; each, like the entry, costs one product.  The
+    iterates are transposes of class-major arrays (see
+    :func:`_softmax_rows`); tau is returned node-major (C-ordered), so the
+    M-step and the bound sum it over the nodes in the same order as the
+    start.
     """
     A = ops.node_scores(tau)
     A += log_alpha
@@ -182,7 +216,7 @@ def _estep_core(ops, log_alpha, tau, tol, max_sweeps):
         prop = _softmax_rows(A)
         step = prop - tau
         if np.abs(step).max() < tol:
-            return tau, True, sweeps, backtracks
+            return np.ascontiguousarray(tau), True, sweeps, backtracks
         t, cand, delta = 1.0, prop, step
         while True:
             A_cand = ops.node_scores(cand)
@@ -196,12 +230,12 @@ def _estep_core(ops, log_alpha, tau, tol, max_sweeps):
             backtracks += 1
             t *= 0.5
             if t < ESTEP_MIN_STEP:
-                return tau, False, sweeps, backtracks
+                return np.ascontiguousarray(tau), False, sweeps, backtracks
             cand = _normalize_rows(tau + t * step)
             delta = cand - tau
         tau, A, tlogt = cand, A_cand, clogc
         sweeps += 1
-    return tau, False, sweeps, backtracks
+    return np.ascontiguousarray(tau), False, sweeps, backtracks
 
 
 def estep_fixed_point(graph: ValuedGraph, spec, params: MixtureParams, tau_init,

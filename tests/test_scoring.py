@@ -6,7 +6,8 @@ scalar ``log_density`` values, which shares no code with the sum-of-products
 path; the E-step's change in J against two ``lower_bound`` calls; the
 Gram-matrix profile distances against ``pdist`` on the explicit n x 2n
 profile matrix; the CSR statistics of sparse count graphs against the same
-scores built on the dense array.
+scores built on the dense array; the class-major softmax against the
+row-wise one, and -sum log X! from a value histogram against gammaln.
 """
 
 import warnings
@@ -22,6 +23,7 @@ from scipy.special import gammaln, xlogy
 
 from blockfit import FamilySpec, ValuedGraph
 from blockfit.engine import (
+    TAU_EPS,
     MixtureParams,
     _bound_change,
     _normalize_rows,
@@ -36,6 +38,7 @@ from blockfit.errors import NumericalError
 from blockfit.families import (
     FAMILIES,
     FAMILY_KINDS,
+    LOG_FACTORIAL_HIST_MAX,
     PROB_FLOOR,
     BernoulliParams,
     BivariateGaussianParams,
@@ -47,6 +50,7 @@ from blockfit.families import (
     PoissonParams,
     PoissonRegParams,
     SimpleRegressionParams,
+    _log_factorial_total,
     expfam_mle,
     get_family,
 )
@@ -391,3 +395,65 @@ def test_csr_statistics_agree_with_the_dense_array(kind, directed, n, Q, seed):
     for i in range(n):
         np.testing.assert_allclose(state.row_score(i), D[i], rtol=1e-12,
                                    atol=1e-12 * max(1.0, np.max(np.abs(D))))
+
+
+# ---------------------------------------------------------------------------
+# Class-major softmax and -sum log X! from a histogram
+
+
+def _row_softmax(scores):
+    """The row-wise softmax, clipped and renormalized, as a reference."""
+    e = scores - scores.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    np.maximum(e, TAU_EPS, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+@pytest.mark.parametrize("Q", [*range(1, 9), 9, 23, 130, 300])
+def test_softmax_rows_is_the_row_wise_softmax_bit_for_bit(Q):
+    # Q = 1: the transpose of an (n, 1) array is contiguous, so a softmax
+    # that did not copy would overwrite its argument; Q > 8 takes numpy's
+    # pairwise row-sum order, beyond 128 its halving
+    rng = np.random.default_rng(Q)
+    for n in (1, 2, 60, 1000):
+        scores = rng.uniform(-1e3, 1e3, (n, Q)) * rng.uniform(0.0, 1.0, (n, 1))
+        want = _row_softmax(scores.copy())
+        # node_scores hands the softmax the transpose of a class-major array
+        for arg in (scores.copy(), np.array(scores.T, order="C").T):
+            before = arg.copy()
+            got = _softmax_rows(arg)
+            assert got.shape == (n, Q)
+            assert np.array_equal(got, want)
+            assert np.array_equal(arg, before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(directed=st.booleans(), n=st.integers(2, 30),
+       density=st.sampled_from([0.0, 0.03, 0.5, 1.0]),
+       top=st.sampled_from([1, 9, LOG_FACTORIAL_HIST_MAX, LOG_FACTORIAL_HIST_MAX + 1, 10 ** 6]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_log_factorial_total_is_the_gammaln_sum(directed, n, density, top, seed):
+    # low densities give the CSR view (at most CSR_MAX_DENSITY non-zero),
+    # high ones the dense array; top above the cap takes the gammaln path
+    rng = np.random.default_rng(seed)
+    vals = np.where(rng.random((n, n)) < density, rng.integers(0, top + 1, (n, n)), 0)
+    if density > 0:
+        vals[0, 1] = top
+    X = _mirror(vals.astype(float), directed)
+    g = ValuedGraph.from_matrix(X, directed)
+    pairs = ~np.eye(n, dtype=bool) if directed else np.triu(np.ones((n, n), bool), 1)
+    want = -gammaln(X[pairs] + 1.0).sum()
+    got = _log_factorial_total(g)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    if density == 0.0:
+        assert got == 0.0
+
+    # PRMH folds it into fixed with the pair sum of X * (Y . beta)
+    spec = FamilySpec("poisson-prmh", covariate_dim=P)
+    cov = EdgeCovariates.from_matrix(_mirror(rng.normal(0.0, 1.0, (n, n, P)), directed), directed)
+    beta = rng.normal(0.0, 0.5, P)
+    ops = get_family(spec).scorer(g, cov)(PoissonRegParams(lam=np.ones((1, 1)), beta=beta))
+    fixed = want + (X * (cov.y @ beta))[pairs].sum()
+    assert abs(ops.fixed - fixed) <= 1e-12 * max(1.0, abs(want), abs(fixed))
