@@ -106,7 +106,8 @@ class ValuedGraph:
         undirected pairs and is the storage used by the bivariate-Gaussian
         family.
     values : ndarray
-        Shape (n, n), or (n, n, 2) for "paired".  Zero diagonal.
+        Shape (n, n), or (n, n, 2) for "paired".  The diagonal must be zero;
+        :meth:`from_matrix` and :func:`build_graph` zero it for the caller.
     num_labels : int, optional
         Number of possible labels m for the "label" kind.
     """
@@ -132,6 +133,8 @@ class ValuedGraph:
             raise GraphBuildError(f"values must have shape {want}, got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise GraphBuildError("non-finite edge value")
+        if vals[np.arange(self.n), np.arange(self.n)].any():
+            raise GraphBuildError("values must have a zero diagonal (self-loops excluded)")
         object.__setattr__(self, "values", _freeze(vals))
 
     @classmethod
@@ -278,8 +281,12 @@ def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=
     Rejects self-loops, out-of-range indices, non-finite or out-of-domain
     values, conflicting duplicates and, without ``fill``, missing pairs;
     each error names the first offending entry in input order.  Undirected
-    entries are keyed by (min, max) and stored in both orientations;
-    "paired" couples given as (j, i) with j > i are swapped to match.
+    entries are keyed by (min, max) and scattered into both orientations,
+    (a, b) and (b, a), so assembly costs O(m) beyond the (n, n, w)
+    allocation; "paired" couples given as (j, i) with j > i are swapped to
+    match, and their mirror (b, a) holds the swapped couple.  Unspecified
+    pairs hold ``fill``, and below the diagonal of a paired graph the
+    swapped fill couple.
     """
     i, j, v = cols
     _check_dense_size(n, v.shape[1])
@@ -311,8 +318,9 @@ def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=
     clash[order] = np.any(v[order] != v[head[np.cumsum(starts) - 1]], axis=1)
     _raise_first(clash, lambda k: f"conflicting duplicate {what} for pair ({a[k]}, {b[k]})")
 
+    a, b, v = a[head], b[head], v[head]
     vals = np.full((n, n, v.shape[1]), np.nan if fill is None else fill)
-    vals[a[head], b[head]] = v[head]
+    vals[a, b] = v
     n_pairs = n * (n - 1) if directed else n * (n - 1) // 2
     if head.size < n_pairs and fill is None:
         missing = np.isnan(vals[:, :, 0])
@@ -322,9 +330,10 @@ def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=
         p, q = np.argwhere(missing)[0]
         raise GraphBuildError(f"missing {what} for pair ({p}, {q})")
     if not directed:
-        lower = np.tri(n, k=-1, dtype=bool)
-        mirrored = vals.transpose(1, 0, 2)[lower]
-        vals[lower] = mirrored[:, ::-1] if swap else mirrored
+        if swap and fill is not None:
+            # also when f0 == f1: (0.0, -0.0) is equal to its swap, not bitwise
+            vals[np.tri(n, k=-1, dtype=bool)] = fill[::-1]
+        vals[b, a] = v[:, ::-1] if swap else v
     vals[np.arange(n), np.arange(n)] = 0.0
     return vals
 

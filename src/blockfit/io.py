@@ -20,8 +20,8 @@ values, p times for covariates); a file whose largest index asks for more
 than the machine's physical memory is refused with a ``GraphBuildError``
 before anything that size is allocated.
 
-Fit results serialize to JSON with full float precision, so a written and
-re-read fit reproduces predictions bit-identically.
+Fit results serialize to strict JSON with full float precision, so a written
+and re-read fit reproduces predictions bit-identically.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def fit_to_jsonable(fit: FitResult, spec: FamilySpec | None = None,
         "map_assignment": [int(z) for z in fit.map_assignment],
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
-        "icl": None if fit.icl is None else float(fit.icl),
+        "icl": float(fit.icl) if fit.icl is not None and np.isfinite(fit.icl) else None,
     }
     if extra:
         data.update(extra)
@@ -180,9 +180,18 @@ def fit_to_jsonable(fit: FitResult, spec: FamilySpec | None = None,
 
 def write_fit_json(path, fit: FitResult, spec: FamilySpec | None = None,
                    extra: dict | None = None):
+    """Write :func:`fit_to_jsonable` as strict JSON, one top-level key per line.
+
+    The keys are sorted; each value is encoded on its key's line by
+    :func:`json.dumps` with sorted keys and ``allow_nan=False``, which runs
+    the C encoder (``indent`` would select the pure-Python one).  A
+    non-finite ICL is written as null.
+    """
+    data = fit_to_jsonable(fit, spec, extra)
+    lines = (f"{json.dumps(key)}: {json.dumps(value, sort_keys=True, allow_nan=False)}"
+             for key, value in sorted(data.items()))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fit_to_jsonable(fit, spec, extra), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def fit_from_jsonable(data: dict):

@@ -19,11 +19,21 @@ from .errors import BlockfitError
 from .graph import EdgeCovariates, ValuedGraph
 
 
+_BLOCK = 1 << 16  # matrix entries per row block of the R^2 sums
+
+
 @dataclass
 class PredictionReport:
+    """Observed and predicted edge values and weighted degrees, with R^2.
+
+    ``observed_edges`` is the graph's own read-only ``scalar_values`` (no
+    copy); ``r2_edges`` is taken over the pairs i < j of an undirected graph
+    and i != j of a directed one.
+    """
+
     observed_degrees: np.ndarray   # (n,)
     predicted_degrees: np.ndarray  # (n,)
-    observed_edges: np.ndarray     # (n, n), zero diagonal
+    observed_edges: np.ndarray     # (n, n), zero diagonal, read-only
     predicted_edges: np.ndarray    # (n, n), zero diagonal
     r2_degrees: float
     r2_edges: float
@@ -62,22 +72,61 @@ def r_squared(observed, predicted) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _pair_r_squared(graph: ValuedGraph, xhat) -> float:
+    """R^2 of ``xhat`` against the graph's values over its node pairs.
+
+    Both matrices have a zero diagonal, so the sums run over all ordered
+    pairs i != j.  An undirected graph counts each pair i < j twice in every
+    sum, which leaves the mean and the ratio SS_res / SS_tot as over i < j.
+    The mean is Sum x over the pair count, read from the CSR view when the
+    graph has one; SS_tot is then Sum (x - mean)^2 over the non-zero entries
+    plus mean^2 per zero pair.  Dense sums run over blocks of rows, so no
+    temporary is larger than a block.
+    """
+    X = graph.scalar_values
+    n = graph.n
+    pairs = n * (n - 1)
+    csr = graph.sparse_values
+    if csr is not None:
+        mean = csr.data.sum() / pairs
+        ss_tot = float(np.sum((csr.data - mean) ** 2) + (pairs - csr.nnz) * mean ** 2)
+    else:
+        mean = X.sum() / pairs
+        ss_tot = 0.0
+    ss_res = 0.0
+    step = max(1, _BLOCK // n)
+    for r in range(0, n, step):
+        rows = slice(r, r + step)
+        res = (X[rows] - xhat[rows]).ravel()
+        ss_res += float(res @ res)
+        if csr is None:
+            dev = X[rows] - mean
+            k = np.arange(dev.shape[0])
+            dev[k, r + k] = 0.0  # the diagonal is no pair
+            dev = dev.ravel()
+            ss_tot += float(dev @ dev)
+    if ss_tot == 0.0:
+        raise ValueError("observed values have zero variance")
+    return 1.0 - ss_res / ss_tot
+
+
 def prediction_report(fit_result: FitResult, graph: ValuedGraph,
                       cov: EdgeCovariates | None = None, spec=None) -> PredictionReport:
-    """Observed-versus-predicted tables for edges and weighted degrees."""
+    """Observed-versus-predicted tables for edges and weighted degrees.
+
+    ``observed_edges`` is ``graph.scalar_values`` itself, read-only and with
+    a zero diagonal; the degrees are the row sums of the two edge matrices.
+    ``r2_edges`` is summed as described in :func:`_pair_r_squared`, without
+    (n, n) temporaries beyond ``predicted_edges``.
+    """
     xhat = predict_edges(fit_result, graph, cov, spec=spec)
-    xobs = graph.scalar_values.copy()
-    np.fill_diagonal(xobs, 0.0)
     khat = xhat.sum(axis=1)
-    kobs = xobs.sum(axis=1)
-    off = graph.offdiag_mask()
-    if not graph.directed:
-        off = np.triu(off)  # each unordered pair once
+    kobs = graph.weighted_degrees()
     return PredictionReport(
         observed_degrees=kobs,
         predicted_degrees=khat,
-        observed_edges=xobs,
+        observed_edges=graph.scalar_values,
         predicted_edges=xhat,
         r2_degrees=r_squared(kobs, khat),
-        r2_edges=r_squared(xobs[off], xhat[off]),
+        r2_edges=_pair_r_squared(graph, xhat),
     )

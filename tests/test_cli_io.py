@@ -75,6 +75,25 @@ def test_fit_json_round_trip_bit_identical(two_block_graph, tmp_path):
         assert key in data
 
 
+
+def test_fit_json_is_strict_and_writes_a_nonfinite_icl_as_null(two_block_graph, tmp_path):
+    g, _ = two_block_graph
+    fr = bf.fit(g, POISSON, 2, seed=1, restarts=1)
+    fr.icl = -math.inf
+    path = tmp_path / "fit.json"
+    write_fit_json(path, fr, POISSON, extra={"n": g.n, "covariate_mean": None})
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(path.read_text(), parse_constant=refuse)
+    assert data["icl"] is None
+    assert data == fit_to_jsonable(fr, POISSON, extra={"n": g.n, "covariate_mean": None})
+    fr2, _ = fit_from_jsonable(data)
+    assert fr2.icl is None
+    assert np.array_equal(fr2.posterior.tau, fr.posterior.tau)
+    assert fr2.bound_trajectory == fr.bound_trajectory
+
 def test_cli_fit_select_predict_report(tmp_path, two_block_graph, capsys):
     g, edges = two_block_graph
     fit_json = tmp_path / "fit.json"

@@ -106,3 +106,15 @@ def test_attach_covariates():
         attach_covariates(g, [(0, 1, [1.0]), (0, 2, [2.0, 1.0]), (1, 2, [0.5])])
     with pytest.raises(GraphBuildError):
         attach_covariates(g, [(0, 1, [np.nan]), (0, 2, [2.0]), (1, 2, [0.5])])
+
+
+def test_direct_construction_refuses_a_nonzero_diagonal():
+    vals = np.array([[1.0, 2.0], [2.0, 0.0]])
+    with pytest.raises(GraphBuildError, match="zero diagonal"):
+        ValuedGraph(n=2, directed=False, value_kind="count", values=vals)
+    paired = np.zeros((2, 2, 2))
+    paired[1, 1, 1] = 3.0
+    with pytest.raises(GraphBuildError, match="zero diagonal"):
+        ValuedGraph(n=2, directed=False, value_kind="paired", values=paired)
+    g = ValuedGraph.from_matrix(vals, directed=False)
+    assert g.values[0, 0] == 0.0 and g.value(0, 1) == 2.0

@@ -100,6 +100,15 @@ def test_build_and_load_match_from_matrix(data):
     assert loaded.values.tobytes() == want.values.tobytes()
 
 
+
+def test_paired_fill_is_swapped_below_the_diagonal():
+    g = build_graph(3, False, [(0, 1, (2.0, 3.0))], "paired", fill=(0.0, 1.0))
+    want = np.array([[[0, 0], [2, 3], [0, 1]],
+                     [[3, 2], [0, 0], [0, 1]],
+                     [[1, 0], [1, 0], [0, 0]]], dtype=float)
+    assert g.values.tobytes() == want.tobytes()
+    assert g.values.tobytes() == ValuedGraph.from_matrix(want, False, "paired").values.tobytes()
+
 @settings(max_examples=75, deadline=None)
 @given(st.data())
 def test_covariates_match_from_matrix(data):

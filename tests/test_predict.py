@@ -2,15 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockfit as bf
 from blockfit import FamilySpec
 from blockfit.engine import FitResult, MixtureParams, VariationalPosterior
-from blockfit.families import PoissonParams, PoissonRegParams
-from blockfit.graph import EdgeCovariates, ValuedGraph
-from blockfit.predict import prediction_report, predict_degrees, predict_edges, r_squared
+from blockfit.families import GaussianParams, PoissonParams, PoissonRegParams
+from blockfit.graph import CSR_MAX_DENSITY, EdgeCovariates, ValuedGraph
+from blockfit.predict import (
+    _pair_r_squared,
+    prediction_report,
+    predict_degrees,
+    predict_edges,
+    r_squared,
+)
 
 POISSON = FamilySpec("poisson")
+GAUSSIAN = FamilySpec("gaussian")
 PRMH = FamilySpec("poisson-prmh")
 
 
@@ -98,3 +107,86 @@ def test_prediction_report_consistency():
     assert rep.r2_degrees <= 1.0 and rep.r2_edges <= 1.0
     # training-data prediction with a decent fit should explain most of K
     assert rep.r2_degrees > 0.5
+
+
+def _graph_values(draw, rng, kind, directed, sparse):
+    """An (n, n) value matrix, symmetric when undirected; with ``sparse``, at
+    most CSR_MAX_DENSITY of its entries are non-zero."""
+    def draw_values(size):
+        if kind == "count":
+            return rng.poisson(2.0, size) if not sparse else rng.integers(1, 10, size)
+        return rng.normal(size=size) if not sparse else rng.normal(size=size) + 5.0
+
+    n = draw(st.integers(10, 40) if sparse else st.integers(2, 12))
+    if sparse:
+        iu, ju = np.nonzero(~np.eye(n, dtype=bool)) if directed else np.triu_indices(n, 1)
+        budget = int(CSR_MAX_DENSITY * n * n) // (1 if directed else 2)
+        pick = rng.choice(iu.size, draw(st.integers(0, budget)), replace=False)
+        vals = np.zeros((n, n))
+        vals[iu[pick], ju[pick]] = draw_values(pick.size)
+    else:
+        vals = draw_values((n, n)).astype(float)
+    if not directed:
+        vals = np.triu(vals, 1) + np.triu(vals, 1).T
+    return vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_report_r2_edges_matches_the_gathered_pairs(data):
+    draw = data.draw
+    kind = draw(st.sampled_from(["count", "real"]))
+    directed = draw(st.booleans())
+    sparse = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = ValuedGraph.from_matrix(_graph_values(draw, rng, kind, directed, sparse), directed, kind)
+    if sparse:
+        assert g.sparse_values is not None
+    n, Q = g.n, draw(st.integers(1, 3))
+    block = rng.uniform(0.1, 6.0, (Q, Q))
+    if not directed:
+        block = (block + block.T) / 2
+    if kind == "count":
+        spec, params = POISSON, PoissonParams(lam=block)
+    else:
+        spec, params = GAUSSIAN, GaussianParams(mu=block - 3.0, sigma2=np.ones((Q, Q)))
+    fr = make_fit(MixtureParams(alpha=np.full(Q, 1.0 / Q), theta=params),
+                  rng.dirichlet(np.ones(Q), size=n), spec)
+
+    xhat = predict_edges(fr, g)
+    xobs = g.values.copy()
+    off = ~np.eye(n, dtype=bool)
+    if not directed:
+        off = np.triu(off)
+    try:
+        want = r_squared(xobs[off], xhat[off])
+    except ValueError:
+        with pytest.raises(ValueError):
+            _pair_r_squared(g, xhat)
+        with pytest.raises(ValueError):  # constant edges give constant degrees
+            prediction_report(fr, g)
+        return
+    assert _pair_r_squared(g, xhat) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    kobs = xobs.sum(axis=1)
+    if np.ptp(kobs) == 0:
+        with pytest.raises(ValueError):  # r2_degrees
+            prediction_report(fr, g)
+        return
+    rep = prediction_report(fr, g)
+    assert rep.r2_edges == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert rep.observed_degrees.tobytes() == kobs.tobytes()
+    assert np.array_equal(rep.predicted_degrees, rep.predicted_edges.sum(axis=1))
+    assert np.shares_memory(rep.observed_edges, g.values)
+    assert not rep.observed_edges.flags.writeable
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("value", [0.0, 3.0])
+def test_pair_r2_refuses_constant_edges(directed, value):
+    n = 30
+    g = ValuedGraph.from_matrix(np.full((n, n), value), directed)
+    assert (g.sparse_values is not None) == (value == 0.0)
+    xhat = np.full((n, n), 1.0)
+    np.fill_diagonal(xhat, 0.0)
+    with pytest.raises(ValueError, match="zero variance"):
+        _pair_r_squared(g, xhat)
