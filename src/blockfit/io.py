@@ -180,18 +180,13 @@ def fit_to_jsonable(fit: FitResult, spec: FamilySpec | None = None,
 
 def write_fit_json(path, fit: FitResult, spec: FamilySpec | None = None,
                    extra: dict | None = None):
-    """Write :func:`fit_to_jsonable` as strict JSON, one top-level key per line.
+    """Write :func:`fit_to_jsonable` as strict JSON (``allow_nan=False``).
 
-    The keys are sorted; each value is encoded on its key's line by
-    :func:`json.dumps` with sorted keys and ``allow_nan=False``, which runs
-    the C encoder (``indent`` would select the pure-Python one).  A
-    non-finite ICL is written as null.
+    A non-finite ICL is written as null.
     """
     data = fit_to_jsonable(fit, spec, extra)
-    lines = (f"{json.dumps(key)}: {json.dumps(value, sort_keys=True, allow_nan=False)}"
-             for key, value in sorted(data.items()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+        fh.write(json.dumps(data, sort_keys=True, allow_nan=False) + "\n")
 
 
 def fit_from_jsonable(data: dict):

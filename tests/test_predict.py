@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,3 +191,22 @@ def test_pair_r2_refuses_constant_edges(directed, value):
     np.fill_diagonal(xhat, 0.0)
     with pytest.raises(ValueError, match="zero variance"):
         _pair_r_squared(g, xhat)
+
+
+def test_pair_r2_keeps_precision_on_a_mostly_zero_graph():
+    # about 1.5 % of the pairs are non-zero, so SS_tot is mostly ~5e5 equal
+    # (0 - mean)^2 terms, and R^2 near 0.01 magnifies their rounding: a plain
+    # dot product per row block is off by about 2e-12 here
+    rng = np.random.default_rng(2)
+    n = 1000
+    iu = np.triu_indices(n, 1)
+    x = np.where(rng.random(iu[0].size) < 0.015, rng.integers(1, 6, iu[0].size), 0)
+    xh = 0.03 + 0.01 * x * rng.random(iu[0].size)
+    X, Xhat = np.zeros((n, n)), np.zeros((n, n))
+    X[iu], Xhat[iu] = x, xh
+    g = ValuedGraph.from_matrix(X + X.T, False, "count")
+    total, pairs = int(x.sum()), x.size
+    ss_tot = Fraction(int((x * x).sum())) - Fraction(total * total, pairs)
+    ss_res = math.fsum((x - xh) ** 2)
+    want = 1.0 - ss_res / float(ss_tot)
+    assert _pair_r_squared(g, Xhat + Xhat.T) == pytest.approx(want, rel=1e-13, abs=0)
