@@ -10,7 +10,9 @@ Count and binary graphs are often mostly zeros.  Below ``CSR_MAX_DENSITY``
 a graph also offers its scalar values as a cached CSR view
 (:attr:`ValuedGraph.sparse_values`), from which the Poisson and Bernoulli
 statistics and the Ward start read only the non-zero entries; the dense
-``values`` stay the canonical storage.
+``values`` stay the canonical storage.  :func:`build_graph` seeds the view
+from the entries it assembled; a graph made otherwise builds it from the
+dense values on first use.
 """
 
 from __future__ import annotations
@@ -184,11 +186,10 @@ class ValuedGraph:
         ``CSR_MAX_DENSITY`` of its entries is non-zero, else None.
 
         Built on first use and kept: the values are immutable.
+        :func:`build_graph` sets it from the entries instead.
         """
         X = self.scalar_values
-        if np.count_nonzero(X) > CSR_MAX_DENSITY * X.size:
-            return None
-        return sparse.csr_array(X)
+        return sparse.csr_array(X) if _sparse_enough(np.count_nonzero(X), self.n) else None
 
     def offdiag_mask(self) -> np.ndarray:
         return ~np.eye(self.n, dtype=bool)
@@ -275,21 +276,38 @@ def _columns(entries, width=None) -> EdgeColumns:
     return EdgeColumns(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), v)
 
 
+def _has_repeats(key):
+    """Whether some key occurs twice; one O(m) pass when the keys increase."""
+    if np.all(key[1:] > key[:-1]):
+        return False
+    key = np.sort(key)
+    return bool(np.any(key[1:] == key[:-1]))
+
+
 def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=None):
     """Validate entry columns and scatter them into a dense (n, n, w) array.
 
     Rejects self-loops, out-of-range indices, non-finite or out-of-domain
     values, conflicting duplicates and, without ``fill``, missing pairs;
-    each error names the first offending entry in input order.  Undirected
-    entries are keyed by (min, max) and scattered into both orientations,
-    (a, b) and (b, a), so assembly costs O(m) beyond the (n, n, w)
-    allocation; "paired" couples given as (j, i) with j > i are swapped to
-    match, and their mirror (b, a) holds the swapped couple.  Unspecified
-    pairs hold ``fill``, and below the diagonal of a paired graph the
-    swapped fill couple.
+    each error names the first offending entry in input order.  Entries
+    are keyed by the flat index ``a*n + b`` of (a, b) = (i, j) when
+    directed, (min, max) when undirected; "paired" couples given as (j, i)
+    with j > i are swapped to match.  Only when some key repeats are the
+    entries sorted, checked for conflicting duplicates and reduced to the
+    first entry of each pair; keys in increasing order cost one O(m) check.
+    Values are scattered through the flat keys and, when undirected, their
+    mirrors (b, a), which hold the swapped couple for "paired", so assembly
+    costs O(m) beyond the (n, n, w) allocation.  A complete list without
+    ``fill`` writes every off-diagonal entry, so its array is allocated
+    uninitialised.  Unspecified pairs hold ``fill``, and below the diagonal
+    of a paired graph the swapped fill couple.
+
+    Returns ``(vals, a, b, v)``: the array, and the indices and (w,) value
+    of each distinct pair, in no particular order.
     """
     i, j, v = cols
-    _check_dense_size(n, v.shape[1])
+    w = v.shape[1]
+    _check_dense_size(n, w)
 
     def where(k):
         return f"({i[k]},{j[k]})"
@@ -309,33 +327,68 @@ def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=
         if swap:
             v = np.where((i > j)[:, None], v[:, ::-1], v)
     key = a * n + b
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = np.ones(key.size, dtype=bool)
-    starts[1:] = sorted_key[1:] != sorted_key[:-1]
-    head = order[starts]  # first entry of each pair, in key order
-    clash = np.zeros(key.size, dtype=bool)
-    clash[order] = np.any(v[order] != v[head[np.cumsum(starts) - 1]], axis=1)
-    _raise_first(clash, lambda k: f"conflicting duplicate {what} for pair ({a[k]}, {b[k]})")
+    if _has_repeats(key):
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        starts = np.ones(key.size, dtype=bool)
+        starts[1:] = sorted_key[1:] != sorted_key[:-1]
+        head = order[starts]  # first entry of each pair, in key order
+        clash = np.zeros(key.size, dtype=bool)
+        clash[order] = np.any(v[order] != v[head[np.cumsum(starts) - 1]], axis=1)
+        _raise_first(clash, lambda k: f"conflicting duplicate {what} for pair ({a[k]}, {b[k]})")
+        a, b, key, v = a[head], b[head], key[head], v[head]
 
-    a, b, v = a[head], b[head], v[head]
-    vals = np.full((n, n, v.shape[1]), np.nan if fill is None else fill)
-    vals[a, b] = v
     n_pairs = n * (n - 1) if directed else n * (n - 1) // 2
-    if head.size < n_pairs and fill is None:
-        missing = np.isnan(vals[:, :, 0])
+    if key.size < n_pairs and fill is None:
+        missing = np.ones(n * n, dtype=bool)
+        missing[key] = False
+        missing = missing.reshape(n, n)
         np.fill_diagonal(missing, False)
         if not directed:
             missing = np.triu(missing)
         p, q = np.argwhere(missing)[0]
         raise GraphBuildError(f"missing {what} for pair ({p}, {q})")
+    vals = np.empty((n, n, w)) if fill is None else np.full((n, n, w), fill)
+    flat = vals.reshape(n * n, w)
+    flat[key] = v
     if not directed:
         if swap and fill is not None:
             # also when f0 == f1: (0.0, -0.0) is equal to its swap, not bitwise
             vals[np.tri(n, k=-1, dtype=bool)] = fill[::-1]
-        vals[b, a] = v[:, ::-1] if swap else v
+        flat[b * n + a] = v[:, ::-1] if swap else v
     vals[np.arange(n), np.arange(n)] = 0.0
-    return vals
+    return vals, a, b, v
+
+
+def _sparse_enough(nnz, n):
+    """Whether an (n, n) matrix with ``nnz`` non-zero entries gets a CSR view."""
+    return nnz <= CSR_MAX_DENSITY * (n * n)
+
+
+def _seed_sparse_values(g, a, b, v, fill):
+    """Set ``g.sparse_values`` from the pairs :func:`_assemble` returned.
+
+    Gives the CSR array :attr:`ValuedGraph.sparse_values` would build from
+    the dense values (sorted indices, no stored zeros, the first component
+    of paired couples), from the m pairs instead of two n^2 passes.  A
+    non-zero ``fill`` puts a value on every unspecified pair: the view is
+    then None when those values alone make the graph too dense, and is
+    otherwise left to the dense computation, which is O(m) for a list that
+    complete.
+    """
+    first = [0] if g.directed else [0, -1]  # the mirror (b, a) holds a couple's second component
+    nnz = sum(np.count_nonzero(v[:, c]) for c in first)
+    unset = 0 if fill is None else (g.n_pairs() - a.size) * np.count_nonzero(fill[first])
+    if not _sparse_enough(nnz + unset, g.n):
+        g.__dict__["sparse_values"] = None
+    elif not unset:
+        if not g.directed:
+            a, b, v = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([v, v[:, ::-1]])
+        keep = v[:, 0] != 0
+        index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64  # as scipy's, from dense
+        # built through COO, whose conversion sorts the indices
+        g.__dict__["sparse_values"] = sparse.csr_array(
+            (v[keep, 0], (a[keep].astype(index), b[keep].astype(index))), shape=(g.n, g.n))
 
 
 def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) -> ValuedGraph:
@@ -370,10 +423,12 @@ def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) ->
     width = 2 if value_kind == "paired" else 1
     if fill is not None:
         fill = np.broadcast_to(np.asarray(fill, dtype=float), (width,))
-    vals = _assemble(n, directed, _columns(entries, width), "entry", value_kind,
-                     num_labels, fill)
-    return ValuedGraph(n=n, directed=directed, value_kind=value_kind,
-                       values=vals if width == 2 else vals[:, :, 0], num_labels=num_labels)
+    vals, a, b, v = _assemble(n, directed, _columns(entries, width), "entry", value_kind,
+                             num_labels, fill)
+    g = ValuedGraph(n=n, directed=directed, value_kind=value_kind,
+                    values=vals if width == 2 else vals[:, :, 0], num_labels=num_labels)
+    _seed_sparse_values(g, a, b, v, fill)
+    return g
 
 
 def attach_covariates(graph: ValuedGraph, cov_entries) -> EdgeCovariates:
@@ -388,5 +443,5 @@ def attach_covariates(graph: ValuedGraph, cov_entries) -> EdgeCovariates:
         raise GraphBuildError("empty covariate specification")
     if cols.values.shape[1] < 1:
         raise GraphBuildError("covariate dimension must be >= 1")
-    y = _assemble(graph.n, graph.directed, cols, "covariate")
+    y = _assemble(graph.n, graph.directed, cols, "covariate")[0]
     return EdgeCovariates(p=y.shape[2], y=y)

@@ -15,6 +15,15 @@ accepted dialect:
   of empty cells such as ``,,`` is an error; ``#`` starts no comment;
 * a malformed row raises :class:`InputFormatError` naming ``path:line``.
 
+Of a regular file, the lines through the header are read with :mod:`csv`;
+numpy then parses the body from the file by name, in chunks in C.  A body
+that parse refuses (whitespace-only lines, a malformed row), an undecodable
+file, a name that numpy would decompress (``.gz``, ``.bz2``, ``.xz``,
+``.lzma``) and any input that is not a regular file (a pipe, a FIFO,
+``/dev/stdin``, read only once) go through the whole-text parse instead,
+which accepts the same dialect and reports the errors, so the result does
+not depend on the path taken.
+
 The dense graph built from a file holds n*n floats (twice that for paired
 values, p times for covariates); a file whose largest index asks for more
 than the machine's physical memory is refused with a ``GraphBuildError``
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import warnings
 from io import StringIO
@@ -45,6 +55,8 @@ from .selection import SelectionResult
 _HEADER = re.compile(r"((?:[^\S\n]*\n)*)([^\n]*)")  # blank lines, then the header
 _BLANK_LINE = re.compile(r"\n[^\S\n]+(?=\n|$)")
 _LOADTXT_ROW = re.compile(r" at row (\d+)(; use `usecols`.*)?")
+# names numpy's DataSource would decompress
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _read_columns(path, value_columns) -> EdgeColumns:
@@ -52,31 +64,99 @@ def _read_columns(path, value_columns) -> EdgeColumns:
 
     The header is the first non-blank line, read with :mod:`csv`;
     ``value_columns(path, header)`` checks its lower-cased cells and returns
-    the number of value columns w.  The body is parsed in one
-    :func:`numpy.loadtxt` call into int64 ``i``, ``j`` and (m, w) float
-    values.
+    the number of value columns w.  The body is parsed into int64 ``i``,
+    ``j`` and (m, w) float values.  A regular file is read only through its
+    header here and its body parsed by :func:`_read_body`; any other input
+    (a pipe, a FIFO, ``/dev/stdin``), a name numpy would decompress, and a
+    body :func:`_read_body` refuses are read once as a whole text and parsed
+    by :func:`_parse_text`, which also reports the error.
     """
+    name = _fast_path_name(path)
+    text = head = None
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            if name is None:
+                text = fh.read()
+                head = _HEADER.match(text).group(2)
+            else:
+                for header_line, head in enumerate(fh, 1):
+                    if head.strip():
+                        break
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    blank, head = _HEADER.match(text).groups()
-    if not head.strip():
+    if head is None or not head.strip():
         raise InputFormatError(f"{path}: empty file")
-    width = value_columns(path, [h.strip().lower() for h in next(csv.reader([head]))])
+    header = next(csv.reader([head.rstrip("\n")]))
+    width = value_columns(path, [h.strip().lower() for h in header])
+    rows = None if name is None else _read_body(name, width, header_line)
+    if rows is None:
+        rows = _parse_text(path, width, _read_text(path) if text is None else text)
+    return EdgeColumns(rows["i"], rows["j"], rows["v"])
+
+
+def _fast_path_name(path):
+    """The absolute name :func:`_read_body` may hand to numpy, or None.
+
+    Only a regular file is read twice (its header, then its body by name):
+    a pipe or FIFO reopened would have lost what the first read took.
+    numpy opens names through :class:`numpy.lib.npyio.DataSource`, so the
+    name is made absolute (a URL-like one is never fetched), and a name
+    ending in a compressed suffix is refused (a plain-text ``edges.csv.gz``
+    is read as text).
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        return None
+    name = os.fspath(path)
+    if not isinstance(name, str) or name.endswith(_COMPRESSED_SUFFIXES):
+        return None
+    return os.path.abspath(name) if os.path.isfile(name) else None
+
+
+def _loadtxt(source, width, **kwargs):
+    dtype = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64, (width,))])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                          ndmin=1, **kwargs)
+
+
+def _read_body(name, width, header_line):
+    """The rows after line ``header_line`` of the file ``name``, parsed by numpy.
+
+    numpy parses a file it opens by name in chunks in C, about twice as
+    fast as the lines of a text it is handed.  Returns None when the file
+    cannot be parsed this way: whitespace-only lines, a malformed row, an
+    unreadable or undecodable file.
+    """
+    try:
+        return _loadtxt(name, width, skiprows=header_line, encoding="utf-8")
+    except (OSError, ValueError):
+        return None
+
+
+def _read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_text(path, width, text):
+    """Parse the whole text of ``path`` after its header: the reference
+    parse and the fallback of :func:`_read_body`.
+
+    Whitespace-only lines are emptied, which loadtxt then skips, and a
+    malformed row raises :class:`InputFormatError` naming ``path:line``.
+    """
+    blank, head = _HEADER.match(text).groups()
     header_line = blank.count("\n") + 1
     # loadtxt skips empty lines but not whitespace-only ones: empty those
     body = _BLANK_LINE.sub("\n", text[len(blank) + len(head):])
-    dtype = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64, (width,))])
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
+        return _loadtxt(StringIO(body), width)
     except ValueError as exc:
         raise _row_error(path, exc, body, header_line) from exc
-    return EdgeColumns(rows["i"], rows["j"], rows["v"])
 
 
 def _row_error(path, exc, body, header_line):

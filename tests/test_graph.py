@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockfit import GraphBuildError, ValuedGraph, attach_covariates, build_graph
 
@@ -118,3 +120,40 @@ def test_direct_construction_refuses_a_nonzero_diagonal():
         ValuedGraph(n=2, directed=False, value_kind="paired", values=paired)
     g = ValuedGraph.from_matrix(vals, directed=False)
     assert g.values[0, 0] == 0.0 and g.value(0, 1) == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_build_graph_seeds_the_dense_csr_view(data):
+    """The CSR view seeded from the entries is the one the dense values give."""
+    draw = data.draw
+    kind = draw(st.sampled_from(["count", "real", "paired"]))
+    paired = kind == "paired"
+    directed = not paired and draw(st.booleans())
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.3]))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and (directed or i < j)]
+    listed = rng.random(len(pairs)) < draw(st.sampled_from([1.0, 0.97, 0.3]))
+    entries = []
+    for (i, j), kept in zip(pairs, listed):
+        val = tuple(rng.choice([1.0, 2.0]) if rng.random() < density else rng.choice([0.0, -0.0])
+                    for _ in range(2 if paired else 1))
+        if kept and not directed and rng.random() < 0.5:
+            entries.append((j, i, val[::-1]))
+        elif kept:
+            entries.append((i, j, val))
+    fills = [(0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (1.0, 0.0)] if paired else [0.0, -0.0, 1.0]
+    fill = None if listed.all() else draw(st.sampled_from(fills))
+
+    g = build_graph(n, directed, entries, kind, fill=fill)
+    if not np.any(fill):
+        assert "sparse_values" in vars(g)  # seeded at build, no pass over the dense values
+    want = ValuedGraph(n=n, directed=directed, value_kind=kind, values=g.values).sparse_values
+    got = g.sparse_values
+    assert (got is None) == (want is None)
+    if want is not None:
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.shape == want.shape and got.has_canonical_format

@@ -1,9 +1,14 @@
 """Graph ingest: entry lists and CSV files against the dense constructors."""
 
+import bz2
 import csv
+import gzip
+import lzma
+import os
 import re
 import tempfile
 import tracemalloc
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from blockfit import GraphBuildError, InputFormatError, ValuedGraph, attach_covariates, build_graph
+from blockfit import graph as graph_module
+from blockfit import io as blockfit_io
 from blockfit.graph import EdgeCovariates
 from blockfit.io import load_covariates, load_graph, read_covariate_csv, read_edge_csv
 
@@ -180,3 +187,171 @@ def test_errors_name_the_first_offending_entry():
     with pytest.raises(GraphBuildError, match=r"\(1,2\)"):
         ValuedGraph.from_matrix([[0, 1, 2], [1, 0, 9], [2, 9, 0]], False, "label",
                                 num_labels=3)
+
+
+VALID = [
+    ("blank lines before the header", "edge", "\n  \n\t\ni,j,value\n0,1,2\n1,2,3\n"),
+    ("empty body lines", "edge", "i,j,value\n\n0,1,2\n\n\n1,2,3\n\n"),
+    ("CRLF", "edge", "\r\n \r\ni,j,value\r\n0,1,2\r\n\r\n1,2,3\r\n"),
+    ("quoted cells", "edge", '"i","j","value"\n"0",1,"2.5"\n1,"2",3\n'),
+    ("spaces around numbers", "edge", "i,j,value\n 0 ,1,  2e0 \n\t1,\t2 ,3\n"),
+    ("no final newline", "edge", "i,j,value\n0,1,2\n1,2,3"),
+    ("header only", "edge", "i,j,value\n"),
+    ("paired", "edge", " I , J , V1 , V2 \r\n0,1,2,-0.0\n\n2,1, 3 ,4"),
+    ("p = 2 covariates", "cov", '\n\ni,j,y1,y2\r\n0,1,0.5,"-1"\r\n\r\n 1,2,1e-3,2\r\n2,0,-0.0,7'),
+]
+
+
+@pytest.mark.parametrize("case, kind, text", VALID, ids=[case[0] for case in VALID])
+def test_fast_and_text_parses_agree(tmp_path, case, kind, text):
+    """The body read by numpy from the file equals the whole-text parse."""
+    path = tmp_path / "ok.csv"
+    path.write_bytes(text.encode("utf-8"))
+    header = blockfit_io._edge_header if kind == "edge" else blockfit_io._covariate_header
+    cols = blockfit_io._read_columns(path, header)
+    width = cols.values.shape[1]
+    want = blockfit_io._parse_text(path, width, blockfit_io._read_text(path))
+    lines = text.replace("\r\n", "\n").split("\n")
+    header_line = next(k for k, line in enumerate(lines, 1) if line.strip())
+    fast = blockfit_io._read_body(blockfit_io._fast_path_name(path), width, header_line)
+    assert fast is not None
+    assert fast.dtype == want.dtype and fast.tobytes() == want.tobytes()
+    assert cols.values.tobytes() == want["v"].tobytes()
+    assert cols.i.tobytes() == want["i"].tobytes() and cols.j.tobytes() == want["j"].tobytes()
+
+
+def test_clean_files_never_reach_the_text_parse(tmp_path, monkeypatch):
+    def refuse(path, width, text):
+        raise AssertionError(f"{path} went through the whole-text parse")
+
+    monkeypatch.setattr(blockfit_io, "_parse_text", refuse)
+    edges, cov = tmp_path / "edges.csv", tmp_path / "cov.csv"
+    edges.write_text("\ni,j,value\n0,1,2\n\n0,2,0\r\n1,2,5", encoding="utf-8")
+    cov.write_text("i,j,y1,y2\n0,1,1,2\n0,2,3,4\n1,2,5,6\n", encoding="utf-8")
+    g = load_graph(edges)
+    assert g.values.tolist() == [[0, 2, 0], [2, 0, 5], [0, 5, 0]]
+    assert load_covariates(g, cov).y[2, 1].tolist() == [5.0, 6.0]
+
+
+def test_compressed_names_are_read_as_text(tmp_path):
+    """numpy decompresses these names when it opens them; the readers
+    treat every file as plain text."""
+    text = "i,j,value\n0,1,2\n1,2,3\n0,2,0\n"
+    plain = tmp_path / "edges.csv"
+    plain.write_text(text, encoding="utf-8")
+    want = load_graph(plain).values
+    for suffix, compress in ((".gz", gzip.compress), (".bz2", bz2.compress),
+                             (".xz", lzma.compress), (".lzma", lzma.compress)):
+        path = tmp_path / f"edges.csv{suffix}"
+        path.write_text(text, encoding="utf-8")
+        assert load_graph(path).values.tobytes() == want.tobytes()
+        path.write_bytes(compress(text.encode("utf-8")))
+        assert blockfit_io._fast_path_name(path) is None
+
+
+def test_url_like_relative_names_are_local_files(tmp_path, monkeypatch):
+    def no_network(*args, **kwargs):
+        raise AssertionError("tried to fetch a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "localhost").mkdir(parents=True)
+    (tmp_path / "http:" / "localhost" / "edges.csv").write_text("i,j,value\n0,1,2\n",
+                                                                encoding="utf-8")
+    name = blockfit_io._fast_path_name("http://localhost/edges.csv")
+    assert name == str(tmp_path / "http:" / "localhost" / "edges.csv")
+    assert load_graph("http://localhost/edges.csv").value(1, 0) == 2.0
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_pipes_are_read_once(tmp_path):
+    """A pipe (a FIFO, ``/dev/stdin``, a shell ``<(...)``) cannot be reopened
+    for its body after its header was read: its text must load as it does
+    from a regular file, past the first read-ahead chunk too."""
+    rows = "".join(f"{i},{j},{(i * j) % 3}\n" for i in range(80) for j in range(i + 1, 80))
+    cases = [(load_graph, "\n i,j,value\n" + rows),
+             (read_edge_csv, "i,j,value\r\n" + rows.replace("\n", "\r\n", 5)),
+             (read_edge_csv, "i,j,value\n" + rows + "  \n"),
+             (read_edge_csv, "i,j,value\n" + rows + "3,4,x\n" + rows[:99])]
+    for load, text in cases:
+        assert 8192 < len(text) < 32768  # past numpy's and io's chunks, within a pipe buffer
+        plain = tmp_path / "edges.csv"
+        plain.write_text(text, encoding="utf-8")
+        try:
+            want = load(plain)
+        except InputFormatError as exc:
+            want = str(exc).replace(str(plain), "<input>")
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode("utf-8"))
+            os.close(w)
+            name = f"/dev/fd/{r}"
+            try:
+                got = load(name)
+            except InputFormatError as exc:
+                got = str(exc).replace(name, "<input>")
+        finally:
+            os.close(r)
+        if isinstance(want, ValuedGraph):
+            assert got.values.tobytes() == want.values.tobytes()
+        else:
+            assert got == want
+
+
+def _assemble_reference(n, directed, paired, entries, fill):
+    """Plain-Python assembly: (values, None), or (None, the first error)."""
+    seen = {}
+    for i, j, val in entries:
+        a, b = (i, j) if directed or i < j else (j, i)
+        if paired and i > j:
+            val = val[::-1]
+        if seen.setdefault((a, b), val) != val:
+            return None, f"conflicting duplicate entry for pair ({a}, {b})"
+    out = [[[0.0] * (2 if paired else 1) for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n) if directed else range(a + 1, n):
+            if a == b:
+                continue
+            val = seen.get((a, b), fill)
+            if val is None:
+                return None, f"missing entry for pair ({a}, {b})"
+            out[a][b] = list(val)
+            if not directed:
+                out[b][a] = list(val[::-1] if paired else val)
+    return np.array(out), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_assemble_matches_a_dict_reference(data):
+    draw = data.draw
+    paired = draw(st.booleans())
+    directed = not paired and draw(st.booleans())
+    n = draw(st.integers(2, 5))
+    node = st.integers(0, n - 1)
+    value = st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, 2.5])] * (2 if paired else 1))
+    pairs = _pairs(n, directed)
+    keep = draw(st.just([True] * len(pairs))
+                | st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    entries = [(i, j, draw(value)) for (i, j), kept in zip(pairs, keep) if kept]
+    entries += draw(st.lists(st.tuples(node, node, value).filter(lambda e: e[0] != e[1]),
+                             max_size=2))
+    for i, j, val in draw(st.lists(st.sampled_from(entries), max_size=n)) if entries else []:
+        entries.append((i, j, val))  # an agreeing duplicate
+    if not directed:  # each entry in either orientation
+        entries = [(j, i, val[::-1] if paired else val) if draw(st.booleans()) else (i, j, val)
+                   for i, j, val in entries]
+    entries = draw(st.permutations(entries))
+    fill = draw(st.none() | value)
+    want, error = _assemble_reference(n, directed, paired, entries, fill)
+
+    cols = graph_module._columns(entries, 2 if paired else 1)
+    call = lambda: graph_module._assemble(  # noqa: E731
+        n, directed, cols, "entry", "paired" if paired else "real",
+        fill=None if fill is None else np.array(fill))
+    if error is not None:
+        with pytest.raises(GraphBuildError) as info:
+            call()
+        assert str(info.value) == error
+        return
+    assert call()[0].tobytes() == want.tobytes()
