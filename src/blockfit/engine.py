@@ -257,12 +257,15 @@ def estep_fixed_point(graph: ValuedGraph, spec, params: MixtureParams, tau_init,
 
 
 def mstep(graph: ValuedGraph, spec, tau, cov: EdgeCovariates | None = None,
-          prev=None) -> MixtureParams:
-    """alpha_q = mean_i tau_iq; theta by the family's weighted MLE."""
+          prev=None, workspace=None) -> MixtureParams:
+    """alpha_q = mean_i tau_iq; theta by the family's weighted MLE.
+
+    ``workspace`` is the family's ``mstep_workspace(graph, cov)``, which
+    :func:`fit` builds once and passes to each of its M-steps."""
     tau = np.asarray(tau, dtype=float)
     alpha = tau.mean(axis=0)
     alpha = alpha / alpha.sum()
-    theta = families.weighted_mle(spec, tau, graph, cov, prev=prev)
+    theta = families.weighted_mle(spec, tau, graph, cov, prev=prev, workspace=workspace)
     return MixtureParams(alpha=alpha, theta=theta)
 
 
@@ -355,9 +358,10 @@ def relabel_descending(params: MixtureParams, tau):
     return out, tau[:, perm]
 
 
-def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, estep_tol, estep_max_sweeps):
+def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, estep_tol, estep_max_sweeps,
+            workspace=None):
     tau = tau0
-    params = mstep(graph, spec, tau, cov)
+    params = mstep(graph, spec, tau, cov, workspace=workspace)
     ops = scorer(params.theta)
     log_alpha = _log_alpha(params.alpha)
     j = _bound_from_ops(ops, tau, log_alpha)
@@ -373,7 +377,7 @@ def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, estep_tol, estep_max
         sweeps += est_sweeps
         backtracks += est_backtracks
         traj.append(_bound_from_ops(ops, tau, log_alpha))
-        params = mstep(graph, spec, tau, cov, prev=params.theta)
+        params = mstep(graph, spec, tau, cov, prev=params.theta, workspace=workspace)
         ops = scorer(params.theta)
         log_alpha = _log_alpha(params.alpha)
         j_new = _bound_from_ops(ops, tau, log_alpha)
@@ -435,6 +439,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     fam = families.get_family(spec)
     fam.check_graph(graph, cov)
     scorer = fam.scorer(graph, cov)
+    workspace = fam.mstep_workspace(graph, cov)
 
     if not isinstance(init, str):
         init_labels, init = np.asarray(init, dtype=int), "given"
@@ -463,7 +468,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     for r, tau0 in enumerate(inits):
         try:
             out = _run_em(graph, spec, scorer, tau0, cov, tol, max_outer,
-                          estep_tol, estep_max_sweeps)
+                          estep_tol, estep_max_sweeps, workspace)
         except (FamilyError, NumericalError, np.linalg.LinAlgError) as exc:
             failures.append(f"restart {r}: {exc}")
             continue

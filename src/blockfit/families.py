@@ -21,7 +21,8 @@ Every family answers three questions for the fitting engine:
   statistics S_k once, and the same list feeds the scorer (with the
   family's coefficients) and the M-step, which maps the block sums
   T_k = tau^T S_k tau and the block weights to the parameters.  The Poisson
-  regressions run Newton on the weighted GLM objective, and simplereg
+  regressions run Newton on the weighted GLM objective, from covariate
+  channels that each fit prepares once (``mstep_workspace``), and simplereg
   solves its shared slope from sums that its scorer folds into ``fixed``;
 * bookkeeping -- sampling and block means per family; the rest comes from
   two tables.  The registry :data:`FAMILIES` maps each kind to its class,
@@ -42,6 +43,7 @@ with NaNs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -595,7 +597,12 @@ class _Family:
 
     # -- estimation ---------------------------------------------------------
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
+    def mstep_workspace(self, graph: ValuedGraph, cov):
+        """What :meth:`weighted_mle` may reuse across the M-steps of one fit,
+        or None; never kept past the fit."""
+        return None
+
+    def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
         raise NotImplementedError
 
     # -- sampling / prediction ----------------------------------------------
@@ -661,7 +668,7 @@ class _StatFamily(_Family):
 
         return make
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
+    def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
         W, degen = _block_weights(tau, graph.n)
         T = [_block_sums(S, tau) for S in self.statistics(graph, cov)]
         est = self.estimate(T, W, degen)
@@ -762,12 +769,15 @@ class _PoissonRegFamily(_Family):
         loglam = np.log(lam) if lam > 0 else LOG_ZERO
         return float(x * (loglam + g) - lam * np.exp(g) - gammaln(x + 1.0))
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
+    def mstep_workspace(self, graph, cov):
+        return _GLMWorkspace(graph, cov, self.shared)
+
+    def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
         warm = None
         if prev is not None:
             warm = (prev.lam, prev.beta)
         lam, beta, degen = _poisson_regression_fit(
-            tau, graph, cov, shared=self.shared, warm_start=warm)
+            tau, graph, cov, shared=self.shared, warm_start=warm, workspace=workspace)
         if not graph.directed:
             lam = _symmetrize(lam)
             if not self.shared:
@@ -865,14 +875,12 @@ class _MultinomialFamily(_StatFamily):
         return float(np.log(p)) if p > 0 else LOG_ZERO
 
     def estimate(self, T, W, degen):
-        return {"probs": np.stack([_weighted_ratio(t, W, degen) for t in T], axis=-1)}
-
-    def finish(self, est, directed):
-        # renormalize against accumulated rounding
-        probs = est["probs"]
+        # renormalized against accumulated rounding before the freeze, so
+        # that frozen blocks keep their previous value bit for bit
+        probs = np.stack([_weighted_ratio(t, W, degen) for t in T], axis=-1)
         s = probs.sum(axis=-1, keepdims=True)
         probs = np.divide(probs, s, out=np.full_like(probs, 1.0 / probs.shape[-1]), where=s > 0)
-        return super().finish({"probs": probs}, directed)
+        return {"probs": probs}
 
     def sample_matrix(self, params, z, rng, cov, directed):
         P = _blockify(params.probs, z)  # (n, n, m)
@@ -1085,7 +1093,7 @@ class _SimpleRegressionFamily(_Family):
         mean = float(params.intercept[q, l]) + params.slope * y0
         return float(-0.5 * (x - mean) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2))
 
-    def weighted_mle(self, tau, graph, cov, prev=None):
+    def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
         """Common slope b as pooled weighted covariance over pooled weighted
         variance, block intercepts a_ql = Xbar_ql - b ybar_ql, and a single
         sigma2 normalized by the total weight."""
@@ -1184,136 +1192,179 @@ def get_family(spec: FamilySpec) -> _Family:
 # Poisson regression (weighted GLM) fitting
 
 
-def _newton_profile(A_vec, c_vec, B_at, beta0, label):
+def _newton_profile(A_vec, c_vec, sums_at, beta0, label):
     """Maximize h(beta) = c . beta - sum_r A_r log B_r(beta) by Newton with
-    step halving.  ``B_at(beta)`` returns B (R,) and ``derivatives(hessian)``,
-    which gives gradB (R, p) and, when asked, hessB (R, p, p) at the same
-    beta, so every beta is evaluated once.  Concave, so this is plain IRLS
-    with the block intercepts profiled out exactly.  Returns (beta, B at
-    beta)."""
+    step halving.  ``sums_at(beta)`` returns what :meth:`_GLMWorkspace.sums`
+    does: B (R,), its gradient (R, p) and its Hessian (R, p, p) in beta,
+    all from one pass, so every beta is evaluated once.  Each iteration tests
+    the gradient before it forms the p x p Hessian.  Concave, so this is
+    plain IRLS with the block intercepts profiled out exactly.  Returns
+    (beta, B at beta)."""
     beta = np.array(beta0, dtype=float)
+    p = beta.size
     pos = A_vec > 0
+    A_pos = A_vec[pos]
+    ridge = 1e-12 * np.eye(p)
 
     def h(b):
-        # a trial step may overflow exp(Y . b): such a point is refused
-        with np.errstate(over="ignore", invalid="ignore"):
-            B, derivatives = B_at(b)
-        Bp = B[pos]
-        if not np.all(np.isfinite(Bp)) or np.any(Bp <= 0):
-            return -np.inf, B, derivatives
-        return float(c_vec @ b - np.sum(A_vec[pos] * np.log(Bp))), B, derivatives
+        S = sums_at(b)  # (B, gradient, Hessian)
+        Bp = S[0][pos]
+        if not ((Bp > 0).all() and np.isfinite(Bp).all()):
+            return -np.inf, S
+        return float(c_vec @ b - (A_pos * np.log(Bp)).sum()), S
 
-    val, B, derivatives = h(beta)
-    for it in range(REG_MAX_ITER):
-        # far from the optimum exp(Y . beta) or ratio / B can overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            gB, hB = derivatives(hessian=True)
-            ratio = np.where(pos, A_vec / np.maximum(B, 1e-300), 0.0)
-            grad = c_vec - gB.T @ ratio
+    def gradient(S):
+        ratio = np.where(pos, A_vec / np.maximum(S[0], 1e-300), 0.0)
+        return ratio, c_vec - ratio @ S[1]
+
+    # a trial step may overflow exp(Y . beta), and far from the optimum
+    # ratio / B can overflow: such a point is refused or raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, S = h(beta)
+        for it in range(REG_MAX_ITER):
+            ratio, grad = gradient(S)
+            if not grad.size or np.abs(grad).max() <= REG_GRAD_TOL:
+                break
             # negative Hessian of h (positive semidefinite)
+            B, gB, hB = S
             Hneg = np.einsum("r,rde->de", ratio, hB)
             Hneg -= np.einsum("r,rd,re->de", ratio / np.maximum(B, 1e-300), gB, gB)
-        gnorm = np.max(np.abs(grad)) if grad.size else 0.0
-        if gnorm <= REG_GRAD_TOL:
-            break
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(Hneg))):
-            raise NumericalError(f"Poisson regression overflowed in {label}")
-        Hneg += 1e-12 * np.eye(len(beta)) * max(1.0, np.trace(Hneg))
-        try:
-            step = np.linalg.solve(Hneg, grad)
-        except np.linalg.LinAlgError:
-            raise NumericalError(f"singular IRLS system in {label}") from None
-        accepted = None
-        t = 1.0
-        while t > 1e-12:
-            cand = beta + t * step
-            cand_val, cand_B, cand_derivatives = h(cand)
-            if cand_val >= val - 1e-12 * max(1.0, abs(val)):
-                accepted = (cand, cand_val, cand_B, cand_derivatives)
+            if not (np.isfinite(grad).all() and np.isfinite(Hneg).all()):
+                raise NumericalError(f"Poisson regression overflowed in {label}")
+            Hneg += ridge * max(1.0, Hneg.trace())
+            try:
+                step = np.linalg.solve(Hneg, grad)
+            except np.linalg.LinAlgError:
+                raise NumericalError(f"singular IRLS system in {label}") from None
+            accepted = None
+            t = 1.0
+            while t > 1e-12:
+                cand = beta + t * step
+                cand_val, cand_S = h(cand)
+                if cand_val >= val - 1e-12 * max(1.0, abs(val)):
+                    accepted = (cand, cand_val, cand_S)
+                    break
+                t *= 0.5
+            if accepted is None:
+                break  # no improving step at floating-point resolution
+            moved = np.abs(accepted[0] - beta).max()
+            improved = accepted[1] - val
+            beta, val, S = accepted
+            if np.abs(beta).max() > REG_BETA_BOUND:
+                raise NumericalError(
+                    f"unbounded Poisson regression (possible separation) in {label}")
+            if improved <= REG_REL_TOL * max(1.0, abs(val)) and moved < 1e-12:
                 break
-            t *= 0.5
-        if accepted is None:
-            break  # no improving step at floating-point resolution
-        moved = np.max(np.abs(accepted[0] - beta))
-        improved = accepted[1] - val
-        beta, val, B, derivatives = accepted
-        if np.max(np.abs(beta)) > REG_BETA_BOUND:
-            raise NumericalError(
-                f"unbounded Poisson regression (possible separation) in {label}")
-        if improved <= REG_REL_TOL * max(1.0, abs(val)) and moved < 1e-12:
-            break
-    else:
-        gB, _ = derivatives(hessian=False)
-        ratio = np.where(pos, A_vec / np.maximum(B, 1e-300), 0.0)
-        grad = c_vec - gB.T @ ratio
-        if np.max(np.abs(grad)) > 1e-4:
-            raise NumericalError(f"Poisson regression did not converge in {label}")
-    return beta, B
+        else:
+            if np.abs(gradient(S)[1]).max() > 1e-4:
+                raise NumericalError(f"Poisson regression did not converge in {label}")
+    return beta, S[0]
 
 
-def _glm_sums(left, right, Y, mask):
-    """``B_at`` for :func:`_newton_profile`: at beta, the weighted sums
-    B = left^T E right of E_ij = exp(Y_ij . beta) off the diagonal,
-    flattened over the blocks, and ``derivatives(hessian)``, their first and
-    (when asked) second derivatives in beta from the same E.  PRMH weighs
-    with (tau, tau), PRMI block (q, l) with the columns (tau[:, q],
-    tau[:, l]), which make B a scalar."""
-    p = Y.shape[-1]
-
-    def B_at(beta):
-        E = np.exp(Y @ beta) * mask
-        B = (left.T @ E @ right).ravel()
-
-        def derivatives(hessian):
-            gB = np.stack([(left.T @ (E * Y[:, :, d]) @ right).ravel() for d in range(p)],
-                          axis=1)
-            if not hessian:
-                return gB, None
-            hB = np.empty((B.size, p, p))
-            for d in range(p):
-                for e in range(d, p):
-                    v = (left.T @ (E * Y[:, :, d] * Y[:, :, e]) @ right).ravel()
-                    hB[:, d, e] = hB[:, e, d] = v
-            return gB, hB
-
-        return B, derivatives
-
-    return B_at
+# Doubles in the channel stack of one row block of _GLMWorkspace.sums
+# (2 MiB): a single block at n = 60, about 40 rows at n = 1000 and p = 2.
+_GLM_BLOCK_ELEMS = 1 << 18
 
 
-def _poisson_regression_fit(tau, graph, cov, shared, warm_start=None):
+class _GLMWorkspace:
+    """What the Poisson-regression M-step reads of a graph and its
+    covariates, built once per fit (:meth:`_PoissonRegFamily.mstep_workspace`)
+    and dropped with it.
+
+    It holds the covariates channel-major, ``y`` (p, n, n), for the
+    products E * Y_d, and the responses weighted by them: for PRMH the sums
+    c_d = sum X * Y_d, which do not depend on tau, and for PRMI the products
+    X * Y_d, from which each M-step takes the block sums
+    tau_q^T (X * Y_d) tau_l.  Y . beta is taken from the covariates as
+    given, pair-major, whose row-wise dot products round as the scorer's.
+    """
+
+    def __init__(self, graph, cov, shared):
+        X = graph.scalar_values
+        self.pair_major = cov.y
+        self.y = np.ascontiguousarray(np.moveaxis(cov.y, 2, 0))
+        if shared:
+            self.xy = np.array([(X * y).sum() for y in self.y])
+        else:
+            self.xy = X * self.y
+        n, p = graph.n, cov.p
+        # channel k > p of the pass is E * Y_d * Y_e for the k-th pair d <= e
+        self.pairs = [(d, e) for d in range(p) for e in range(d, p)]
+        packed = {pair: k for k, pair in enumerate(self.pairs, 1 + p)}
+        self.hessian = np.array([packed[min(d, e), max(d, e)]
+                                 for d in range(p) for e in range(p)])
+        self.rows = max(1, _GLM_BLOCK_ELEMS // ((1 + p + len(self.pairs)) * n))
+
+    def sums(self, left, right, beta):
+        """At beta, the weighted sums left^T F right of F = E, E * Y_d and
+        E * Y_d * Y_e, where E_ij = exp(Y_ij . beta) off the diagonal and 0
+        on it, flattened over the blocks: B (R,), its gradient (R, p) and
+        its Hessian (R, p, p) in beta.  PRMH weighs with (tau, tau), PRMI
+        block (q, l) with the columns (tau[:, [q]], tau[:, [l]]).
+
+        One exp per entry and one product per channel and entry, taken
+        ``self.rows`` rows at a time, so that the channel stack never holds
+        more than ``_GLM_BLOCK_ELEMS`` doubles; each symmetric Hessian
+        channel is formed once.  Within one block every sum rounds as
+        (left^T F) right taken one channel at a time, and the gradient and
+        Hessian come out C-ordered for the Newton step's products: its
+        iterates, which decide where the E-steps stop, do not depend on how
+        the channels are stacked.
+        """
+        Y = self.y
+        p, n = Y.shape[0], Y.shape[1]
+        K = 1 + p + len(self.pairs)
+        L = None
+        for r0 in range(0, n, self.rows):
+            r1 = min(n, r0 + self.rows)
+            F = np.empty((K, r1 - r0, n))
+            g = self.pair_major[r0:r1].reshape(-1, p) @ beta
+            np.exp(g.reshape(r1 - r0, n), out=F[0])
+            F[0].reshape(-1)[r0::n + 1] = 0.0  # the diagonal entries of these rows
+            np.multiply(F[0], Y[:, r0:r1], out=F[1:1 + p])
+            for k, (d, e) in enumerate(self.pairs, 1 + p):
+                np.multiply(F[1 + d], Y[e, r0:r1], out=F[k])
+            part = np.matmul(left[r0:r1].T, F)  # (K, Ql, n)
+            L = part if L is None else L + part
+        T = np.matmul(L, right).reshape(K, -1)
+        hessian = T.take(self.hessian, axis=0).T.copy().reshape(-1, p, p)
+        return T[0], T[1:1 + p].T.copy(), hessian
+
+
+def _poisson_regression_fit(tau, graph, cov, shared, warm_start=None, workspace=None):
     """Weighted Poisson-regression M-step.
 
     Returns (lam, beta, degenerate_mask).  ``shared=True`` fits one beta
     jointly across blocks with per-block intercepts log lam_ql;
-    ``shared=False`` fits each block independently.
+    ``shared=False`` fits each block independently.  ``workspace`` is the
+    fit's :class:`_GLMWorkspace`; without one, a workspace for this call
+    alone is built.
     """
+    ws = _GLMWorkspace(graph, cov, shared) if workspace is None else workspace
     X = graph.scalar_values
-    Y = cov.y
     n, p = graph.n, cov.p
     Q = tau.shape[1]
-    mask = _offdiag_mask(n)
     W, degen = _block_weights(tau, n)
     A = tau.T @ X @ tau
 
     if shared:
         beta0 = np.zeros(p) if warm_start is None else np.asarray(warm_start[1], dtype=float)
-        c = np.array([(X * Y[:, :, d]).sum() for d in range(p)])
-        beta, B = _newton_profile(A.ravel(), c, _glm_sums(tau, tau, Y, mask), beta0,
+        beta, B = _newton_profile(A.ravel(), ws.xy, partial(ws.sums, tau, tau), beta0,
                                   "shared-beta fit")
         B = B.reshape(Q, Q)
         lam = np.where(B > 0, A / np.maximum(B, 1e-300), 0.0)
     else:
         beta = np.zeros((Q, Q, p)) if warm_start is None else np.array(warm_start[1], dtype=float)
         lam = np.zeros((Q, Q))
+        C = np.matmul(tau.T, ws.xy @ tau)  # (p, Q, Q): tau_q^T (X * Y_d) tau_l
         pairs = [(q, l) for q in range(Q) for l in range(Q)
                  if graph.directed or q <= l]
         for q, l in pairs:
             if degen[q, l]:
                 continue
-            c_ql = np.array([tau[:, q] @ (X * Y[:, :, d]) @ tau[:, l] for d in range(p)])
-            B_at = _glm_sums(tau[:, q], tau[:, l], Y, mask)
-            b, B = _newton_profile(A[q, l].reshape(1), c_ql, B_at, beta[q, l], f"block ({q},{l})")
+            sums_at = partial(ws.sums, tau[:, q:q + 1], tau[:, l:l + 1])
+            b, B = _newton_profile(A[q, l].reshape(1), C[:, q, l], sums_at, beta[q, l],
+                                   f"block ({q},{l})")
             B = B[0]
             beta[q, l] = b
             lam[q, l] = A[q, l] / B if B > 0 else 0.0
@@ -1350,7 +1401,7 @@ def log_density(spec: FamilySpec, params, q, l, x, y=None) -> float:
 
 
 def weighted_mle(spec: FamilySpec, tau, graph: ValuedGraph, cov: EdgeCovariates | None = None,
-                 prev=None):
+                 prev=None, workspace=None):
     """Maximize sum_{i != j} sum_ql tau_iq tau_jl log f_ql(X_ij) over theta.
 
     ``tau`` is (n, Q); the weight of edge (i, j) in block (q, l) is
@@ -1358,11 +1409,14 @@ def weighted_mle(spec: FamilySpec, tau, graph: ValuedGraph, cov: EdgeCovariates 
     on the weighted GLM objective for the Poisson regressions.  Blocks with
     vanishing weight keep ``prev``'s value (without ``prev``, a value pooled
     over all blocks) and are flagged in the result's ``degenerate`` mask.
+    ``workspace`` is what the family's ``mstep_workspace(graph, cov)`` built
+    for this graph and covariates, reused across the M-steps of a fit;
+    without it, the call builds what it needs.
     """
     fam = get_family(spec)
     fam.check_graph(graph, cov)
     tau = np.asarray(tau, dtype=float)
-    return fam.weighted_mle(tau, graph, cov, prev=prev)
+    return fam.weighted_mle(tau, graph, cov, prev=prev, workspace=workspace)
 
 
 def poisson_pm_mle(tau, graph: ValuedGraph) -> np.ndarray:

@@ -5,7 +5,8 @@ covariate CSV: header ``i,j,y1..yp``; 0-based node indices, UTF-8.  The
 accepted dialect:
 
 * the header is the first non-blank line; its cells are matched without
-  regard to case or surrounding spaces;
+  regard to case or surrounding spaces, and a quote it leaves open is an
+  error;
 * every other row has exactly one cell per header column, separated by
   commas; a cell may be wrapped in double quotes, and spaces around a
   number are ignored;
@@ -77,7 +78,8 @@ def _read_columns(path, value_columns) -> EdgeColumns:
         with open(path, encoding="utf-8") as fh:
             if name is None:
                 text = fh.read()
-                head = _HEADER.match(text).group(2)
+                blank, head = _HEADER.match(text).groups()
+                header_line = blank.count("\n") + 1
             else:
                 for header_line, head in enumerate(fh, 1):
                     if head.strip():
@@ -86,12 +88,28 @@ def _read_columns(path, value_columns) -> EdgeColumns:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     if head is None or not head.strip():
         raise InputFormatError(f"{path}: empty file")
-    header = next(csv.reader([head.rstrip("\n")]))
+    header = _header_cells(path, header_line, head.rstrip("\n"))
     width = value_columns(path, [h.strip().lower() for h in header])
     rows = None if name is None else _read_body(name, width, header_line)
     if rows is None:
         rows = _parse_text(path, width, _read_text(path) if text is None else text)
     return EdgeColumns(rows["i"], rows["j"], rows["v"])
+
+
+def _header_cells(path, line, head):
+    """The cells of the header ``head``, line ``line`` of ``path``.
+
+    :mod:`csv` carries a quoted cell still open at the end of a line over to
+    the next one, and outside its strict mode closes it silently at the end
+    of the input.  Read with an empty line after it, a header that leaves a
+    quote open swallows that line and gives one row instead of two: such a
+    header is refused.  (Strict mode would also refuse ``"i" ,j,value``,
+    whose spaces after a quoted cell the dialect allows.)
+    """
+    rows = list(csv.reader([head, ""]))
+    if len(rows) == 1:
+        raise InputFormatError(f"{path}:{line}: unclosed quote in the header")
+    return rows[0]
 
 
 def _fast_path_name(path):

@@ -90,6 +90,11 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
     Ties break toward smaller Q; per-Q restart streams are seeded from
     (seed, Q) so the sweep is reproducible and independent of n_jobs.
     Failed fits are recorded with ICL = -inf instead of aborting the sweep.
+
+    ``n_jobs > 1`` fits the Q values in that many threads.  Threads only
+    pay on large graphs: a fit of a small one is mostly short numpy calls
+    that hold the GIL, so they contend instead of overlapping, and the
+    sweep gets slower (see ``cli._n_jobs`` for a measurement).
     """
     q_list = [int(q) for q in q_range]
     if not q_list or sorted(q_list) != q_list:

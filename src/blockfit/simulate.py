@@ -138,7 +138,9 @@ def run_experiment(config: GridConfig, spec: FamilySpec | None = None,
     aligned by descending estimated proportions) and mean normalized
     entropy H/n.  selection: sweep Q = 1..q_max (10 by default, 5 when
     n >= 1000) and report how often each Q is chosen.  Replicates whose fit
-    fails are dropped and counted.
+    fails are dropped and counted.  ``n_jobs > 1`` runs replicates in that
+    many threads, which slows small graphs down rather than up (see
+    :func:`blockfit.selection.select_q`).
     """
     spec = spec or FamilySpec("poisson")
     if mode not in ("estimation", "selection"):

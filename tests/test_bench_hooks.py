@@ -14,7 +14,8 @@ import numpy as np
 import blockfit as bf
 from blockfit import FamilySpec, engine, io, predict, selection
 from blockfit.engine import MixtureParams
-from blockfit.families import PoissonParams
+from blockfit.families import PoissonParams, PoissonRegParams
+from blockfit.graph import EdgeCovariates
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import tracer  # noqa: E402
@@ -63,3 +64,29 @@ def test_tracer_records_the_fit_and_predict_chain(tmp_path):
     chain = {"engine.fit", "selection.icl", "io.write_fit_json", "predict.prediction_report"}
     assert chain <= set(totals)
     assert all(totals[name][0] == 1 for name in chain)
+
+
+def test_tracer_records_the_prmh_mstep():
+    """A PRMH fit hands its M-step workspace through ``engine.mstep`` to
+    ``families.weighted_mle``; both spans must still be recorded, or the
+    prmh-select layer metrics of the benchmark read zero."""
+    spec = FamilySpec("poisson-prmh", covariate_dim=2)
+    rng = np.random.default_rng(2)
+    n = 16
+    y = rng.normal(size=(n, n, 2))
+    cov = EdgeCovariates.from_matrix(y + y.transpose(1, 0, 2), directed=False)
+    params = MixtureParams(alpha=np.array([0.5, 0.5]),
+                           theta=PoissonRegParams(lam=np.array([[4.0, 0.5], [0.5, 2.0]]),
+                                                  beta=np.array([-0.3, 0.2]), shared=True))
+    g, _ = bf.sample_graph(params, n, False, spec, seed=3, cov=cov)
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+        fr = bf.fit(g, spec, 2, cov, seed=0, restarts=1)
+    finally:
+        spans.restore()
+    assert spans.restored()
+    totals = spans.totals(0)
+    assert {"engine.mstep", "families.weighted_mle"} <= set(totals)
+    # one M-step per EM iteration plus the one that starts the run
+    assert totals["engine.mstep"][0] == totals["families.weighted_mle"][0] == fr.iterations + 1

@@ -145,6 +145,8 @@ MALFORMED = [
     ("blank before header", read_edge_csv, "  \n\ni,j,value\n0,1,2\n1,0,zz\n", 5),
     ("empty cells", read_edge_csv, "i,j,value\n0,1,2\n,,\n", 3),
     ("covariate columns", read_covariate_csv, "i,j,y1,y2\n0,1,1.0,2.0\n1,0,1.0\n", 3),
+    ("unclosed header quote", read_edge_csv, '\n i,j,"value\n0,1,2\n', 2),
+    ("unclosed covariate header quote", read_covariate_csv, 'i,j,y1,"y2\n0,1,1,2\n', 1),
 ]
 
 
@@ -194,6 +196,7 @@ VALID = [
     ("empty body lines", "edge", "i,j,value\n\n0,1,2\n\n\n1,2,3\n\n"),
     ("CRLF", "edge", "\r\n \r\ni,j,value\r\n0,1,2\r\n\r\n1,2,3\r\n"),
     ("quoted cells", "edge", '"i","j","value"\n"0",1,"2.5"\n1,"2",3\n'),
+    ("spaces after quoted header cells", "edge", '"i" ,"j"  ,value\n0,1,2\n'),
     ("spaces around numbers", "edge", "i,j,value\n 0 ,1,  2e0 \n\t1,\t2 ,3\n"),
     ("no final newline", "edge", "i,j,value\n0,1,2\n1,2,3"),
     ("header only", "edge", "i,j,value\n"),
@@ -272,7 +275,8 @@ def test_pipes_are_read_once(tmp_path):
     cases = [(load_graph, "\n i,j,value\n" + rows),
              (read_edge_csv, "i,j,value\r\n" + rows.replace("\n", "\r\n", 5)),
              (read_edge_csv, "i,j,value\n" + rows + "  \n"),
-             (read_edge_csv, "i,j,value\n" + rows + "3,4,x\n" + rows[:99])]
+             (read_edge_csv, "i,j,value\n" + rows + "3,4,x\n" + rows[:99]),
+             (read_edge_csv, '\ni,j,"value\n' + rows)]
     for load, text in cases:
         assert 8192 < len(text) < 32768  # past numpy's and io's chunks, within a pipe buffer
         plain = tmp_path / "edges.csv"

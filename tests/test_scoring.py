@@ -309,11 +309,7 @@ def test_mstep_does_not_lower_the_bound_and_freezes_empty_blocks(kind, directed,
     for arr in FAMILIES[kind].params:
         if not arr.blockwise:
             continue
-        want = getattr(params, arr.name)[degen]
-        if kind == "multinomial":
-            # the M-step renormalizes every block after the freeze
-            want = want / want.sum(axis=-1, keepdims=True)
-        assert np.array_equal(getattr(theta, arr.name)[degen], want)
+        assert np.array_equal(getattr(theta, arr.name)[degen], getattr(params, arr.name)[degen])
 
 
 def test_bigauss_statistics_are_built_once_per_graph():
