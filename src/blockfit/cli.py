@@ -72,7 +72,7 @@ def _fit_options(args):
         labels = np.loadtxt(args.init_file, dtype=int, delimiter=",", ndmin=1)
         opts["init"] = labels
     else:
-        opts["init"] = {"hier": "hierarchical", "random": "random"}[args.init]
+        opts["init"] = args.init  # fit reads "hier" as "hierarchical"
     return opts
 
 
@@ -88,7 +88,9 @@ def _add_common_fit_flags(sub):
     sub.add_argument("--seed", type=int)
     sub.add_argument("--tol", type=float, default=1e-6)
     sub.add_argument("--max-iter", type=int, default=500)
-    sub.add_argument("--init", choices=("hier", "random", "file"), default="hier")
+    sub.add_argument("--init", choices=("auto", "hier", "random", "file"), default="auto",
+                     help="start of the first restart: auto (spectral on graphs with a "
+                          "CSR view, else hier), hier (Ward linkage), random, or file")
     sub.add_argument("--init-file", help="CSV of initial labels for --init file")
     sub.add_argument("--deterministic", action="store_true",
                      help="single-threaded, ordered reductions")

@@ -9,16 +9,17 @@ the two components swap under transposition.
 Count and binary graphs are often mostly zeros.  Below ``CSR_MAX_DENSITY``
 a graph also offers its scalar values as a cached CSR view
 (:attr:`ValuedGraph.sparse_values`), from which the Poisson and Bernoulli
-statistics and the Ward start read only the non-zero entries; the dense
-``values`` stay the canonical storage.  :func:`build_graph` seeds the view
-from the entries it assembled; a graph made otherwise builds it from the
-dense values on first use.
+statistics, the spectral start that ``engine.fit`` takes on such a graph
+and an explicitly requested Ward start read only the non-zero entries; the
+dense ``values`` stay the canonical storage.  :func:`build_graph` seeds the
+view from the entries it assembled; a graph made otherwise builds it from
+the dense values on first use.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -36,7 +37,9 @@ VALUE_KINDS = ("count", "real", "label", "paired")
 # BLAS thread) the CSR fit, view included, is 2x faster at 1.5 % density.
 # At 5 % it is 1.1x slower for a fit of 2 EM iterations, where the Ward
 # start dominates, and 3x faster for one of 13; at 6.6 %, 1.4x slower and
-# 1.8x faster.
+# 1.8x faster.  These fits used the Ward start; a graph with the view now
+# gets the spectral start by default, so the Gram product's 3-5 % break-even
+# only applies to an explicit hierarchical start.
 CSR_MAX_DENSITY = 0.05
 
 
@@ -119,8 +122,10 @@ class ValuedGraph:
     value_kind: str
     values: np.ndarray
     num_labels: int | None = None
+    # set only by build_graph, which has checked every value it wrote
+    _finite: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _finite):
         if self.n < 2:
             raise GraphBuildError("graph needs at least 2 nodes")
         if self.value_kind not in VALUE_KINDS:
@@ -133,7 +138,7 @@ class ValuedGraph:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != want:
             raise GraphBuildError(f"values must have shape {want}, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not _finite and not np.all(np.isfinite(vals)):
             raise GraphBuildError("non-finite edge value")
         if vals[np.arange(self.n), np.arange(self.n)].any():
             raise GraphBuildError("values must have a zero diagonal (self-loops excluded)")
@@ -426,7 +431,8 @@ def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) ->
     vals, a, b, v = _assemble(n, directed, _columns(entries, width), "entry", value_kind,
                              num_labels, fill)
     g = ValuedGraph(n=n, directed=directed, value_kind=value_kind,
-                    values=vals if width == 2 else vals[:, :, 0], num_labels=num_labels)
+                    values=vals if width == 2 else vals[:, :, 0], num_labels=num_labels,
+                    _finite=True)
     _seed_sparse_values(g, a, b, v, fill)
     return g
 

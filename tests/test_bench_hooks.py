@@ -90,3 +90,22 @@ def test_tracer_records_the_prmh_mstep():
     assert {"engine.mstep", "families.weighted_mle"} <= set(totals)
     # one M-step per EM iteration plus the one that starts the run
     assert totals["engine.mstep"][0] == totals["families.weighted_mle"][0] == fr.iterations + 1
+
+
+def test_tracer_records_the_start_of_a_sparse_fit():
+    """A graph with a CSR view takes the spectral start through
+    ``engine.init_partition``, so ``engine.init_partition_s`` keeps
+    measuring the start on the pm-sparse workload."""
+    params = MixtureParams(alpha=np.array([0.5, 0.5]),
+                           theta=PoissonParams(lam=np.array([[0.08, 0.01], [0.01, 0.06]])))
+    g, _ = bf.sample_graph(params, 200, False, POISSON, seed=4)
+    assert g.sparse_values is not None
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+        fr = engine.fit(g, POISSON, 2, seed=0, restarts=1)
+    finally:
+        spans.restore()
+    assert spans.restored()
+    assert fr.diagnostics["init"] == "spectral"
+    assert spans.totals(0)["engine.init_partition"][0] == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import blockfit as bf
-from blockfit import FamilySpec
+from blockfit import FamilySpec, engine
 from blockfit.cli import main
 from blockfit.engine import MixtureParams
 from blockfit.families import PoissonParams, PoissonRegParams
@@ -93,6 +93,33 @@ def test_fit_json_is_strict_and_writes_a_nonfinite_icl_as_null(two_block_graph, 
     assert fr2.icl is None
     assert np.array_equal(fr2.posterior.tau, fr.posterior.tau)
     assert fr2.bound_trajectory == fr.bound_trajectory
+
+@pytest.mark.parametrize("flag, start", [([], "spectral"), (["--init", "auto"], "spectral"),
+                                         (["--init", "hier"], "hierarchical")])
+def test_cli_init_follows_the_library_default(tmp_path, monkeypatch, flag, start):
+    """Without --init, fit and select start a sparse graph as engine.fit does."""
+    params = MixtureParams(alpha=np.array([0.5, 0.5]),
+                           theta=PoissonParams(lam=np.array([[0.08, 0.01], [0.01, 0.06]])))
+    g, _ = bf.sample_graph(params, 200, False, POISSON, seed=4)
+    edges = tmp_path / "edges.csv"
+    with open(edges, "w", encoding="utf-8") as fh:
+        fh.write("i,j,value\n")
+        for i, j in zip(*np.nonzero(np.triu(g.values))):
+            fh.write(f"{i},{j},{int(g.values[i, j])}\n")
+    starts = []
+    real = engine.init_partition
+
+    def spy(graph, Q, strategy="hierarchical", **kwargs):
+        starts.append(strategy)
+        return real(graph, Q, strategy, **kwargs)
+
+    monkeypatch.setattr(engine, "init_partition", spy)
+    common = ["--edges", str(edges), "--n", "200", "--fill", "0", "--restarts", "1", *flag]
+    assert main(["fit", *common, "--q", "2", "--out", str(tmp_path / "fit.json")]) == 0
+    assert main(["select", *common, "--qmin", "2", "--qmax", "2",
+                 "--out", str(tmp_path / "sel.csv")]) == 0
+    assert starts == [start] * 2
+
 
 def test_cli_fit_select_predict_report(tmp_path, two_block_graph, capsys):
     g, edges = two_block_graph

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,28 @@ def test_direct_construction_refuses_a_nonzero_diagonal():
         ValuedGraph(n=2, directed=False, value_kind="paired", values=paired)
     g = ValuedGraph.from_matrix(vals, directed=False)
     assert g.values[0, 0] == 0.0 and g.value(0, 1) == 2.0
+
+
+def test_only_build_graph_skips_the_finiteness_scan():
+    bad = np.array([[0.0, np.nan], [np.nan, 0.0]])
+    with pytest.raises(GraphBuildError, match="non-finite"):
+        ValuedGraph(n=2, directed=False, value_kind="real", values=bad)
+    paired = np.zeros((2, 2, 2))
+    paired[0, 1, 1] = paired[1, 0, 0] = np.inf
+    with pytest.raises(GraphBuildError, match="non-finite"):
+        ValuedGraph(n=2, directed=False, value_kind="paired", values=paired)
+    g = ValuedGraph.from_matrix(np.ones((2, 2)), directed=False, value_kind="real")
+    with pytest.raises(GraphBuildError, match="non-finite"):
+        dataclasses.replace(g, values=bad)
+    # build_graph checks each entry instead, and gives the same graph
+    rng = np.random.default_rng(5)
+    X = np.triu(rng.poisson(0.05, (40, 40)).astype(float), 1)
+    X += X.T
+    entries = [(i, j, X[i, j]) for i, j in zip(*np.nonzero(np.triu(X)))]
+    built = build_graph(40, False, entries, "count", fill=0)
+    want = ValuedGraph.from_matrix(X, directed=False)
+    assert built.values.tobytes() == want.values.tobytes()
+    assert (built.sparse_values != want.sparse_values).nnz == 0
 
 
 @settings(max_examples=200, deadline=None)
