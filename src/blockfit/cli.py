@@ -37,7 +37,7 @@ def _n_jobs(args):
     BLAS thread, a 2-core Xeon VM) a sweep took a median of 166 ms with 2
     threads against 115 ms with 1.
     """
-    if getattr(args, "deterministic", False):
+    if args.deterministic:
         return 1
     raw = os.environ.get("BLOCKFIT_THREADS", "1")
     try:
@@ -46,19 +46,13 @@ def _n_jobs(args):
         return 1
 
 
-def _spec_from_args(args, cov):
-    p = cov.p if cov is not None else None
-    return FamilySpec(kind=args.family, num_labels=getattr(args, "labels", None),
-                      covariate_dim=p)
-
-
 def _load_inputs(args):
     g = bio.load_graph(args.edges, directed=args.directed,
                        value_kind=FAMILIES[args.family].value_kind,
-                       num_labels=getattr(args, "labels", None),
-                       n=args.n, fill=args.fill)
+                       num_labels=args.labels, n=args.n, fill=args.fill)
     cov = bio.load_covariates(g, args.cov) if args.cov else None
-    spec = _spec_from_args(args, cov)
+    spec = FamilySpec(kind=args.family, num_labels=args.labels,
+                      covariate_dim=None if cov is None else cov.p)
     if spec.uses_covariates and cov is None:
         raise InputFormatError(f"family {args.family!r} requires --cov")
     return g, cov, spec
@@ -92,8 +86,6 @@ def _add_common_fit_flags(sub):
                      help="start of the first restart: auto (spectral on graphs with a "
                           "CSR view, else hier), hier (Ward linkage), random, or file")
     sub.add_argument("--init-file", help="CSV of initial labels for --init file")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="single-threaded, ordered reductions")
 
 
 def _covariate_mean(cov):
@@ -175,12 +167,10 @@ def cmd_simulate(args):
 
 def cmd_predict(args):
     result, spec, data = bio.read_fit_json(args.fit)
-    g = bio.load_graph(args.edges, directed=bool(data.get("directed", False)),
-                       value_kind=FAMILIES[spec.kind].value_kind,
-                       num_labels=spec.num_labels, n=data.get("n"), fill=args.fill)
-    cov = bio.load_covariates(g, args.cov) if args.cov else None
-    if spec.uses_covariates and cov is None:
-        raise InputFormatError(f"family {spec.kind!r} requires --cov")
+    # read the graph as it was fitted
+    args.family, args.labels = spec.kind, spec.num_labels
+    args.directed, args.n = bool(data.get("directed")), data.get("n")
+    g, cov, _ = _load_inputs(args)
     report = prediction_report(result, g, cov, spec=spec)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -257,13 +247,14 @@ def build_parser():
                        default="ordered")
     p_sel.add_argument("--out", help="output table CSV/JSON (default selection.csv)")
     p_sel.add_argument("--fit-out", help="also store the chosen fit as JSON")
+    p_sel.add_argument("--deterministic", action="store_true", help="one thread")
     p_sel.set_defaults(func=cmd_select)
 
     p_sim = sub.add_parser("simulate", help="run one simulation-grid cell")
     p_sim.add_argument("--config", required=True, help="grid config (JSON or key=value)")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--mode", choices=("estimation", "selection"))
-    p_sim.add_argument("--deterministic", action="store_true")
+    p_sim.add_argument("--deterministic", action="store_true", help="one thread")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_pred = sub.add_parser("predict", help="edge/degree predictions and R2")

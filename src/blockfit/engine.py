@@ -541,7 +541,7 @@ def _restart_rng(seed, r):
 
 
 def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
-        init: str = "auto", init_labels=None, restarts: int = 5,
+        init: str = "auto", restarts: int = 5,
         seed=None, tol: float = OUTER_TOL, max_outer: int = OUTER_MAX_ITER,
         estep_tol: float = ESTEP_TOL, estep_max_sweeps: int = ESTEP_MAX_SWEEPS) -> FitResult:
     """Best-of-restarts variational EM fit with Q latent groups.
@@ -573,11 +573,12 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     scorer = fam.scorer(graph, cov)
     workspace = fam.mstep_workspace(graph, cov)
 
+    labels = None
     if not isinstance(init, str):
-        init_labels, init = np.asarray(init, dtype=int), "given"
-    if init == "hier":
+        labels, init = init, "given"
+    elif init == "hier":
         init = "hierarchical"
-    if init not in ("auto", "hierarchical", "random", "given"):
+    elif init not in ("auto", "hierarchical", "random"):
         raise ValueError(f"unknown init strategy {init!r}")
     if init == "auto":
         init = "hierarchical" if graph.sparse_values is None else "spectral"
@@ -598,7 +599,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
             fallbacks.append(f"hierarchical start failed, random start used: {exc}")
             init = "random"
     elif init == "given":
-        inits.append(init_partition(graph, Q, strategy="given", labels=init_labels).tau)
+        inits.append(init_partition(graph, Q, strategy="given", labels=labels).tau)
     for r in range(len(inits), max(1, restarts)):
         inits.append(init_partition(graph, Q, strategy="random",
                                     seed=_restart_rng(seed, r)).tau)

@@ -500,9 +500,8 @@ def _log_factorial_total(graph):
     """-sum of log X_ij! over the pairs, through the CSR view when the graph
     has one.
 
-    Count graphs built by ``from_matrix``, ``build_graph`` and the ``io``
-    readers hold validated non-negative integers, so when the largest is
-    at most ``LOG_FACTORIAL_HIST_MAX`` the sum is
+    Count graphs hold non-negative integers (their constructor checks), so
+    when the largest is at most ``LOG_FACTORIAL_HIST_MAX`` the sum is
     sum_k #{X_ij = k} log k!, from a histogram of the values counted in
     chunks of ``_HIST_CHUNK`` entries (no n^2 integer copy).  Larger values
     sum gammaln(x + 1) over the entries x > 1 (log 0! = log 1! = 0).
@@ -581,6 +580,8 @@ class _Family:
         if self.spec.uses_covariates and cov.p != self.spec.covariate_dim:
             raise FamilyError(
                 f"covariate dimension {cov.p} does not match spec p={self.spec.covariate_dim}")
+        if cov is not None and cov.y.shape[0] != graph.n:
+            raise FamilyError(f"covariates on {cov.y.shape[0]} nodes for a graph of n={graph.n}")
         entry = FAMILIES[self.kind]
         if entry.strict_kind and graph.value_kind != entry.value_kind:
             raise FamilyError(f"{self.kind} family expects {entry.value_kind} values")
@@ -815,9 +816,7 @@ class _PoissonRegFamily(_Family):
 class _BernoulliFamily(_StatFamily):
     def check_graph(self, graph, cov):
         super().check_graph(graph, cov)
-        X = graph.scalar_values
-        off = graph.offdiag_mask()
-        if not np.all(np.isin(X[off], (0.0, 1.0))):
+        if not np.all(np.isin(graph.scalar_values, (0.0, 1.0))):  # the diagonal is zero
             raise FamilyError("Bernoulli family expects 0/1 values")
 
     def statistics(self, graph, cov):

@@ -6,6 +6,11 @@ this package sums over i != j only.  Undirected graphs store a symmetric
 array so that reading (i, j) and (j, i) always agrees; for the paired kind
 the two components swap under transposition.
 
+Every way in, the ``io`` readers included, passes the :class:`ValuedGraph`
+constructor, which refuses a bad kind, shape or diagonal, and values outside
+their domain or, when undirected, not symmetric (:func:`build_graph` checks
+its entries instead, before it writes them).
+
 Count and binary graphs are often mostly zeros.  Below ``CSR_MAX_DENSITY``
 a graph also offers its scalar values as a cached CSR view
 (:attr:`ValuedGraph.sparse_values`), from which the Poisson and Bernoulli
@@ -63,15 +68,17 @@ class EdgeColumns(NamedTuple):
 
 
 def _raise_first(bad, message):
-    """Raise GraphBuildError(message(k)) for the first True position k of ``bad``."""
+    """Raise GraphBuildError(message(k)) for the first row k of ``bad``, an
+    (m,) or (m, w) mask, that holds a True."""
     if bad.any():
-        raise GraphBuildError(message(int(bad.argmax())))
+        raise GraphBuildError(message(int(bad.reshape(len(bad), -1).any(axis=1).argmax())))
 
 
-def _check_values(v, value_kind, num_labels, where):
+def _check_values(v, value_kind, num_labels, where, skip=None):
     """Reject the first row of ``v`` (m, w) holding a non-finite value or a
-    value outside the domain of ``value_kind``; ``where(k)`` names row k."""
-    _raise_first(~np.isfinite(v).all(axis=1), lambda k: f"non-finite value at {where(k)}")
+    value outside the domain of ``value_kind``; ``where(k)`` names row k.
+    Rows ``skip`` (an index or slice) are exempt from the domain."""
+    _raise_first(~np.isfinite(v), lambda k: f"non-finite value at {where(k)}")
     if value_kind == "count":
         bad, domain = (v < 0) | (v != np.trunc(v)), "a nonnegative integer"
     elif value_kind == "label":
@@ -79,8 +86,22 @@ def _check_values(v, value_kind, num_labels, where):
         domain = f"an integer in 1..{num_labels}"
     else:
         return
-    _raise_first(bad.any(axis=1), lambda k: (
+    if skip is not None:
+        bad[skip] = False
+    _raise_first(bad, lambda k: (
         f"{value_kind} value must be {domain} at {where(k)}, got {float(v[k, 0])!r}"))
+
+
+def _check_kind(n, directed, value_kind, num_labels):
+    """Refuse a node count and value kind that no graph can have."""
+    if n < 2:
+        raise GraphBuildError("graph needs at least 2 nodes")
+    if value_kind not in VALUE_KINDS:
+        raise GraphBuildError(f"unknown value kind {value_kind!r}")
+    if value_kind == "paired" and directed:
+        raise GraphBuildError("paired values are defined on undirected graphs only")
+    if value_kind == "label" and not num_labels:
+        raise GraphBuildError("label kind requires num_labels")
 
 
 def _check_dense_size(n, width):
@@ -111,8 +132,12 @@ class ValuedGraph:
         undirected pairs and is the storage used by the bivariate-Gaussian
         family.
     values : ndarray
-        Shape (n, n), or (n, n, 2) for "paired".  The diagonal must be zero;
-        :meth:`from_matrix` and :func:`build_graph` zero it for the caller.
+        Shape (n, n), or (n, n, 2) for "paired", with a zero diagonal
+        (:meth:`from_matrix` zeroes it).  Off the diagonal every value must
+        be finite: counts non-negative integers, labels integers in
+        1..num_labels; undirected values symmetric, "paired" ones with the
+        swapped couple at (j, i).  The first value that fails raises
+        :class:`GraphBuildError` naming its (i,j).
     num_labels : int, optional
         Number of possible labels m for the "label" kind.
     """
@@ -122,56 +147,43 @@ class ValuedGraph:
     value_kind: str
     values: np.ndarray
     num_labels: int | None = None
-    # set only by build_graph, which has checked every value it wrote
-    _finite: InitVar[bool] = False
+    # set only by build_graph, whose _assemble has checked every entry it wrote
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self, _finite):
-        if self.n < 2:
-            raise GraphBuildError("graph needs at least 2 nodes")
-        if self.value_kind not in VALUE_KINDS:
-            raise GraphBuildError(f"unknown value kind {self.value_kind!r}")
-        if self.value_kind == "paired" and self.directed:
-            raise GraphBuildError("paired values are defined on undirected graphs only")
-        if self.value_kind == "label" and not self.num_labels:
-            raise GraphBuildError("label kind requires num_labels")
-        want = (self.n, self.n, 2) if self.value_kind == "paired" else (self.n, self.n)
-        vals = np.asarray(self.values, dtype=float)
+    def __post_init__(self, _checked):
+        n = self.n
+        _check_kind(n, self.directed, self.value_kind, self.num_labels)
+        paired = self.value_kind == "paired"
+        want = (n, n, 2) if paired else (n, n)
+        vals = np.ascontiguousarray(self.values, dtype=float)
         if vals.shape != want:
             raise GraphBuildError(f"values must have shape {want}, got {vals.shape}")
-        if not _finite and not np.all(np.isfinite(vals)):
-            raise GraphBuildError("non-finite edge value")
-        if vals[np.arange(self.n), np.arange(self.n)].any():
+        if vals[np.arange(n), np.arange(n)].any():
             raise GraphBuildError("values must have a zero diagonal (self-loops excluded)")
+        if not _checked:
+            def where(k):
+                return "({},{})".format(*divmod(k, n))
+
+            # rows 0, n+1, 2(n+1), ... are the diagonal, whose zero is no label
+            _check_values(vals.reshape(n * n, -1), self.value_kind, self.num_labels, where,
+                          skip=slice(None, None, n + 1))
+            if not self.directed:
+                mirror = vals[:, :, ::-1].transpose(1, 0, 2) if paired else vals.T
+                _raise_first((vals != mirror).reshape(n * n, -1), lambda k: (
+                    f"undirected graph requires symmetric values, but {where(k)} differs "
+                    "from its mirror"))
         object.__setattr__(self, "values", _freeze(vals))
 
     @classmethod
     def from_matrix(cls, values, directed, value_kind="count", num_labels=None):
-        """Build directly from a dense value array, validating symmetry.
-
-        The diagonal is ignored and forced to zero.  For undirected graphs
-        the array must be symmetric ("paired": values[j, i] must equal the
-        swapped couple values[i, j, ::-1]).
-        """
+        """Build from a copy of a dense value array with its diagonal set to
+        zero; the constructor checks the rest."""
         vals = np.array(values, dtype=float)
-        n = vals.shape[0]
-        if value_kind == "paired":
-            if vals.ndim != 3 or vals.shape[:2] != (n, n) or vals.shape[2] != 2:
-                raise GraphBuildError("paired values must have shape (n, n, 2)")
+        n = len(vals) if vals.ndim else 0
+        if vals.shape[:2] == (n, n):
             vals[np.arange(n), np.arange(n)] = 0.0
-            if not np.array_equal(vals, vals[:, :, ::-1].transpose(1, 0, 2)):
-                raise GraphBuildError("paired values must satisfy values[j,i] == swap(values[i,j])")
-        else:
-            if vals.ndim != 2 or vals.shape != (n, n):
-                raise GraphBuildError("values must be a square (n, n) array")
-            np.fill_diagonal(vals, 0.0)
-            if not directed and not np.array_equal(vals, vals.T):
-                raise GraphBuildError("undirected graph requires a symmetric value matrix")
-        g = cls(n=n, directed=bool(directed), value_kind=value_kind, values=vals,
-                num_labels=num_labels)
-        off = ~np.eye(n, dtype=bool)
-        _check_values(vals[off].reshape(n * (n - 1), -1), value_kind, num_labels,
-                      lambda k: "({},{})".format(*np.argwhere(off)[k]))
-        return g
+        return cls(n=n, directed=bool(directed), value_kind=value_kind, values=vals,
+                   num_labels=num_labels)
 
     def value(self, i, j):
         """Edge value X_ij; a couple (X_ij, X_ji) for the paired kind."""
@@ -195,9 +207,6 @@ class ValuedGraph:
         """
         X = self.scalar_values
         return sparse.csr_array(X) if _sparse_enough(np.count_nonzero(X), self.n) else None
-
-    def offdiag_mask(self) -> np.ndarray:
-        return ~np.eye(self.n, dtype=bool)
 
     def pair_index(self):
         """Ordered index pairs (i, j), i != j for directed, i < j otherwise."""
@@ -416,15 +425,7 @@ def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) ->
         non-finite or out-of-domain values, missing pairs when no fill
         value was given, or a dense array larger than physical memory.
     """
-    if n < 2:
-        raise GraphBuildError("graph needs at least 2 nodes")
-    if value_kind not in VALUE_KINDS:
-        raise GraphBuildError(f"unknown value kind {value_kind!r}")
-    if value_kind == "paired" and directed:
-        raise GraphBuildError("paired values are defined on undirected graphs only")
-    if value_kind == "label" and not num_labels:
-        raise GraphBuildError("label kind requires num_labels")
-
+    _check_kind(n, directed, value_kind, num_labels)
     width = 2 if value_kind == "paired" else 1
     if fill is not None:
         fill = np.broadcast_to(np.asarray(fill, dtype=float), (width,))
@@ -432,7 +433,7 @@ def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) ->
                              num_labels, fill)
     g = ValuedGraph(n=n, directed=directed, value_kind=value_kind,
                     values=vals if width == 2 else vals[:, :, 0], num_labels=num_labels,
-                    _finite=True)
+                    _checked=True)
     _seed_sparse_values(g, a, b, v, fill)
     return g
 

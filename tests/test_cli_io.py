@@ -234,6 +234,36 @@ def test_cli_fit_with_covariates_and_report_effect(tmp_path, capsys):
     assert "covariate effect" in out
 
 
+def test_cli_predict_loads_its_inputs_as_fit_does(tmp_path, two_block_graph, capsys):
+    g, edges = two_block_graph
+    # the node count and orientation come from the fit JSON
+    fit_json = tmp_path / "fit.json"
+    assert main(["fit", "--edges", str(edges), "--q", "2", "--seed", "0", "--restarts", "1",
+                 "--n", "32", "--fill", "0", "--out", str(fit_json)]) == 0
+    pred = tmp_path / "pred.csv"
+    assert main(["predict", "--fit", str(fit_json), "--edges", str(edges), "--fill", "0",
+                 "--out", str(pred)]) == 0
+    assert sum(r["record"] == "degree" for r in csv.DictReader(pred.open())) == 32
+    # a covariate family needs --cov in predict as in fit
+    rng = np.random.default_rng(0)
+    y = rng.normal(0.0, 1.0, (g.n, g.n, 1))
+    cov = EdgeCovariates.from_matrix(y + y.transpose(1, 0, 2), directed=False)
+    prmh = FamilySpec("poisson-prmh")
+    prmh_json = tmp_path / "prmh.json"
+    write_fit_json(prmh_json, bf.fit(g, prmh, 2, cov, seed=0, restarts=1), prmh,
+                   extra={"n": g.n, "directed": False})
+    capsys.readouterr()
+    assert main(["predict", "--fit", str(prmh_json), "--edges", str(edges)]) == 3
+    assert "requires --cov" in capsys.readouterr().err
+
+
+def test_cli_deterministic_only_where_it_sets_the_threads(tmp_path, two_block_graph):
+    _, edges = two_block_graph
+    assert main(["fit", "--edges", str(edges), "--q", "2", "--deterministic"]) == 2
+    assert main(["select", "--edges", str(edges), "--qmin", "1", "--qmax", "2",
+                 "--restarts", "1", "--deterministic", "--out", str(tmp_path / "s.csv")]) == 0
+
+
 def test_read_edge_csv_paired(tmp_path):
     path = tmp_path / "paired.csv"
     path.write_text("i,j,v1,v2\n0,1,1.5,2.5\n")

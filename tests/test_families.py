@@ -469,3 +469,11 @@ def test_family_spec_validation():
     assert not FamilySpec("poisson").uses_covariates
     assert "beta" in FamilySpec("poisson-prmh").shared_params
     assert FamilySpec("poisson").shared_params is None
+
+
+def test_covariates_on_another_node_count_are_refused():
+    rng = np.random.default_rng(0)
+    g = rand_graph(rng, 10, directed=False)
+    cov = rand_cov(rng, 12, 1, directed=False)
+    with pytest.raises(FamilyError, match=r"12 nodes.*n=10"):
+        bf.fit(g, PRMH, 2, cov, restarts=1)

@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockfit import GraphBuildError, ValuedGraph, attach_covariates, build_graph
+from blockfit.io import load_graph
 
 
 def test_directed_construction():
@@ -181,3 +185,102 @@ def test_build_graph_seeds_the_dense_csr_view(data):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert got.shape == want.shape and got.has_canonical_format
+
+
+NUM_LABELS = 3
+
+
+def _mirrored(vals):
+    """values[j, i] for every (i, j): the transpose, couples swapped for "paired"."""
+    return vals[:, :, ::-1].transpose(1, 0, 2) if vals.ndim == 3 else vals.T
+
+
+def _ways_in(n, directed, kind, vals):
+    """Build the graph of the zero-diagonal array ``vals`` through every way in."""
+    m = NUM_LABELS if kind == "label" else None
+    entries = [(i, j, tuple(vals[i, j].tolist()) if vals.ndim == 3 else float(vals[i, j]))
+               for i in range(n) for j in range(n) if i != j]  # both orientations
+    base = ValuedGraph(n=2, directed=True, value_kind="real", values=np.zeros((2, 2)))
+
+    def load():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(["i", "j", "v1", "v2"] if kind == "paired" else ["i", "j", "value"])
+                w.writerows([i, j, *map(repr, np.atleast_1d(v).tolist())] for i, j, v in entries)
+            return load_graph(path, directed=directed, value_kind=kind, num_labels=m, n=n)
+
+    return {
+        "constructor": lambda: ValuedGraph(n=n, directed=directed, value_kind=kind,
+                                           values=vals.copy(), num_labels=m),
+        "replace": lambda: dataclasses.replace(base, n=n, directed=directed, value_kind=kind,
+                                               values=vals.copy(), num_labels=m),
+        "from_matrix": lambda: ValuedGraph.from_matrix(vals, directed, kind, num_labels=m),
+        "build_graph": lambda: build_graph(n, directed, entries, kind, num_labels=m),
+        "load_graph": load,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_way_in_checks_values_alike(data):
+    """Each way into a graph refuses the same values and stores the same bytes."""
+    draw = data.draw
+    kind = draw(st.sampled_from(["count", "label", "real", "paired"]))
+    paired = kind == "paired"
+    directed = not paired and draw(st.booleans())
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n, n, 2) if paired else (n, n)
+    if kind == "count":
+        vals = rng.integers(0, 5, shape).astype(float)
+    elif kind == "label":
+        vals = rng.integers(1, NUM_LABELS + 1, shape).astype(float)
+    else:
+        vals = rng.normal(0.0, 2.0, shape)
+    if not directed:
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        vals = np.where(upper[:, :, None] if paired else upper, vals, _mirrored(vals))
+    vals[np.arange(n), np.arange(n)] = 0.0
+
+    # one off-diagonal value, maybe out of its domain, and maybe without its mirror
+    x = draw(st.sampled_from([None, 2.5, -1.0, 0.0, NUM_LABELS + 1.0, np.nan]))
+    if x is not None:
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        at, mirror = (i, j), (j, i)
+        if paired:
+            c = draw(st.integers(0, 1))
+            at, mirror = (i, j, c), (j, i, 1 - c)
+        vals[at] = x
+        if not directed and draw(st.booleans()):
+            vals[mirror] = x
+    off = vals[~np.eye(n, dtype=bool)]
+    in_domain = {"count": (off >= 0) & (off == np.trunc(off)),
+                 "label": (off >= 1) & (off <= NUM_LABELS) & (off == np.trunc(off)),
+                 "real": np.isfinite(off), "paired": np.isfinite(off)}[kind].all()
+    valid = in_domain and (directed or np.array_equal(vals, _mirrored(vals)))
+
+    got = {}
+    for way, build in _ways_in(n, directed, kind, vals).items():
+        if valid:
+            got[way] = build().values.tobytes()
+        else:
+            with pytest.raises(GraphBuildError):
+                build()
+    assert len(set(got.values())) <= 1
+    if valid:
+        assert got["constructor"] == vals.tobytes()
+
+
+@pytest.mark.parametrize("kind, directed, x01, x10", [
+    ("count", False, 2.5, 2.5),  # log X! would truncate it
+    ("count", True, -1.0, 0.0),  # np.bincount would refuse it inside fit
+    ("label", True, 7.0, 1.0),  # beyond m = 2
+    ("real", False, 1.0, 2.0),  # an asymmetric undirected matrix
+])
+def test_direct_construction_refuses_values_outside_the_model(kind, directed, x01, x10):
+    vals = np.array([[0.0, x01, 1.0], [x10, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(GraphBuildError, match=r"\(0,1\)|\(1,0\)"):
+        ValuedGraph(n=3, directed=directed, value_kind=kind, values=vals,
+                    num_labels=2 if kind == "label" else None)

@@ -150,3 +150,11 @@ def test_fit_records_each_start():
     assert bf.fit(g, POISSON, 3, restarts=1, seed=0, init="random").diagnostics["init"] == "random"
     assert bf.fit(g, POISSON, 3, restarts=1, init=z).diagnostics["init"] == "given"
     assert bf.fit(g, POISSON, 3, restarts=1, init="hier").diagnostics["init"] == "hierarchical"
+
+
+def test_start_labels_go_in_only_as_an_array():
+    g, z = bf.sample_graph(grid_params(0.7, 2.0, 0.1, 3), 30, False, POISSON, seed=3)
+    with pytest.raises(ValueError, match="unknown init strategy 'given'"):
+        bf.fit(g, POISSON, 3, restarts=1, init="given")
+    with pytest.raises(TypeError):
+        bf.fit(g, POISSON, 3, restarts=1, init_labels=z)
