@@ -16,7 +16,6 @@ from . import io as bio
 from .engine import fit
 from .errors import BlockfitError, GraphBuildError, InputFormatError, NumericalError
 from .families import FAMILIES, FAMILY_KINDS, FamilySpec
-from .graph import ValuedGraph
 from .predict import prediction_report
 from .selection import icl, select_q
 from .simulate import GridConfig, run_experiment
@@ -25,25 +24,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
-
-
-def _n_jobs(args):
-    """Threads for ``select`` and ``simulate``: ``BLOCKFIT_THREADS`` (default
-    1), or 1 under ``--deterministic``.
-
-    More threads only help large graphs.  A fit of a small graph is mostly
-    short numpy calls under the GIL, which threads contend for: on the
-    first ten seed-1 ``prmh-select`` benchmark graphs (n = 60, Q = 1..6, one
-    BLAS thread, a 2-core Xeon VM) a sweep took a median of 166 ms with 2
-    threads against 115 ms with 1.
-    """
-    if args.deterministic:
-        return 1
-    raw = os.environ.get("BLOCKFIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_inputs(args):
@@ -111,7 +91,7 @@ def cmd_select(args):
     g, cov, spec = _load_inputs(args)
     result = select_q(g, spec, range(args.qmin, args.qmax + 1), cov,
                       fit_options=_fit_options(args), seed=args.seed,
-                      edge_count=args.edge_count_convention, n_jobs=_n_jobs(args))
+                      edge_count=args.edge_count_convention)
     out = args.out or "selection.csv"
     fmt = "json" if out.endswith(".json") else "csv"
     bio.write_selection_table(out, result, fmt=fmt)
@@ -141,8 +121,7 @@ def cmd_simulate(args):
     mode = args.mode or raw.get("mode", "estimation")
     q_max = raw.get("q_max")
     report = run_experiment(config, mode=mode,
-                            q_max=None if q_max is None else int(q_max),
-                            n_jobs=_n_jobs(args))
+                            q_max=None if q_max is None else int(q_max))
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
     bio.write_report_csv(csv_path, report)
@@ -247,14 +226,12 @@ def build_parser():
                        default="ordered")
     p_sel.add_argument("--out", help="output table CSV/JSON (default selection.csv)")
     p_sel.add_argument("--fit-out", help="also store the chosen fit as JSON")
-    p_sel.add_argument("--deterministic", action="store_true", help="one thread")
     p_sel.set_defaults(func=cmd_select)
 
     p_sim = sub.add_parser("simulate", help="run one simulation-grid cell")
     p_sim.add_argument("--config", required=True, help="grid config (JSON or key=value)")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--mode", choices=("estimation", "selection"))
-    p_sim.add_argument("--deterministic", action="store_true", help="one thread")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_pred = sub.add_parser("predict", help="edge/degree predictions and R2")

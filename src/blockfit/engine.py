@@ -484,8 +484,7 @@ def relabel_descending(params: MixtureParams, tau):
     return out, tau[:, perm]
 
 
-def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, estep_tol, estep_max_sweeps,
-            workspace=None):
+def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, workspace=None):
     tau = tau0
     params = mstep(graph, spec, tau, cov, workspace=workspace)
     ops = scorer(params.theta)
@@ -498,7 +497,7 @@ def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, estep_tol, estep_max
     iterations = 0
     for iterations in range(1, max_outer + 1):
         tau, est_ok, est_sweeps, est_backtracks = _estep_core(
-            ops, log_alpha, tau, estep_tol, estep_max_sweeps)
+            ops, log_alpha, tau, ESTEP_TOL, ESTEP_MAX_SWEEPS)
         estep_unconverged += not est_ok
         sweeps += est_sweeps
         backtracks += est_backtracks
@@ -542,8 +541,7 @@ def _restart_rng(seed, r):
 
 def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
         init: str = "auto", restarts: int = 5,
-        seed=None, tol: float = OUTER_TOL, max_outer: int = OUTER_MAX_ITER,
-        estep_tol: float = ESTEP_TOL, estep_max_sweeps: int = ESTEP_MAX_SWEEPS) -> FitResult:
+        seed=None, tol: float = OUTER_TOL, max_outer: int = OUTER_MAX_ITER) -> FitResult:
     """Best-of-restarts variational EM fit with Q latent groups.
 
     The first restart uses the requested ``init`` strategy.  The default,
@@ -609,8 +607,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     estep_counts = dict.fromkeys(("estep_unconverged", "estep_sweeps", "estep_backtracks"), 0)
     for r, tau0 in enumerate(inits):
         try:
-            out = _run_em(graph, spec, scorer, tau0, cov, tol, max_outer,
-                          estep_tol, estep_max_sweeps, workspace)
+            out = _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, workspace)
         except (FamilyError, NumericalError, np.linalg.LinAlgError) as exc:
             failures.append(f"restart {r}: {exc}")
             continue

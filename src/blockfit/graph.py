@@ -49,7 +49,9 @@ CSR_MAX_DENSITY = 0.05
 
 
 def _freeze(a):
-    a = np.ascontiguousarray(a)
+    """A read-only view of ``a`` (made contiguous); ``a`` itself stays
+    writeable."""
+    a = np.ascontiguousarray(a).view()
     a.flags.writeable = False
     return a
 
@@ -137,7 +139,10 @@ class ValuedGraph:
         be finite: counts non-negative integers, labels integers in
         1..num_labels; undirected values symmetric, "paired" ones with the
         swapped couple at (j, i).  The first value that fails raises
-        :class:`GraphBuildError` naming its (i,j).
+        :class:`GraphBuildError` naming its (i,j).  The graph keeps a
+        read-only view of ``values`` (of a copy unless it is C-contiguous
+        float64); the caller's array stays writeable and must not change
+        afterwards.
     num_labels : int, optional
         Number of possible labels m for the "label" kind.
     """

@@ -214,30 +214,25 @@ def _covariate_header(path, header):
     return p
 
 
-def _read_edges(path):
+def read_edge_csv(path):
+    """Parse an edge-list CSV.  Returns (columns, paired): the
+    :class:`EdgeColumns` of its rows (w = 2 value columns when paired)."""
     cols = _read_columns(path, _edge_header)
     if cols.i.size == 0:
         raise InputFormatError(f"{path}: no edges")
     return cols, cols.values.shape[1] == 2
 
 
-def read_edge_csv(path):
-    """Parse an edge-list CSV.  Returns (entries, paired) where entries are
-    (i, j, value) triples (value is a couple when paired)."""
-    cols, paired = _read_edges(path)
-    values = map(tuple, cols.values.tolist()) if paired else cols.values[:, 0].tolist()
-    return list(zip(cols.i.tolist(), cols.j.tolist(), values)), paired
-
-
 def read_covariate_csv(path):
-    """Parse a covariate CSV; returns (entries, p)."""
+    """Parse a covariate CSV.  Returns (columns, p): the
+    :class:`EdgeColumns` of its rows, with p covariate columns."""
     cols = _read_columns(path, _covariate_header)
-    return list(zip(cols.i.tolist(), cols.j.tolist(), cols.values.tolist())), cols.values.shape[1]
+    return cols, cols.values.shape[1]
 
 
 def load_graph(edges_path, directed=False, value_kind="count", num_labels=None,
                n=None, fill=None) -> ValuedGraph:
-    cols, paired = _read_edges(edges_path)
+    cols, paired = read_edge_csv(edges_path)
     if paired:
         value_kind = "paired"
     if n is None:
@@ -246,7 +241,7 @@ def load_graph(edges_path, directed=False, value_kind="count", num_labels=None,
 
 
 def load_covariates(graph: ValuedGraph, cov_path) -> EdgeCovariates:
-    return attach_covariates(graph, _read_columns(cov_path, _covariate_header))
+    return attach_covariates(graph, read_covariate_csv(cov_path)[0])
 
 
 # ---------------------------------------------------------------------------

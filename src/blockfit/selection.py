@@ -13,13 +13,12 @@ checks.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import families
-from .engine import FitResult, MixtureParams, complete_data_loglik, fit, mstep, spawn_seed
+from .engine import FitResult, complete_data_loglik, fit, mstep, spawn_seed
 from .errors import BlockfitError, NumericalError
 from .graph import EdgeCovariates, ValuedGraph
 
@@ -84,17 +83,12 @@ def icl(graph: ValuedGraph, spec, fit_result: FitResult,
 
 def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = None,
              fit_options: dict | None = None, seed=None, *,
-             edge_count: str = "ordered", n_jobs: int = 1) -> SelectionResult:
+             edge_count: str = "ordered") -> SelectionResult:
     """Fit every Q in ``q_range`` and pick the ICL maximizer.
 
     Ties break toward smaller Q; per-Q restart streams are seeded from
-    (seed, Q) so the sweep is reproducible and independent of n_jobs.
-    Failed fits are recorded with ICL = -inf instead of aborting the sweep.
-
-    ``n_jobs > 1`` fits the Q values in that many threads.  Threads only
-    pay on large graphs: a fit of a small one is mostly short numpy calls
-    that hold the GIL, so they contend instead of overlapping, and the
-    sweep gets slower (see ``cli._n_jobs`` for a measurement).
+    (seed, Q) so the sweep is reproducible.  Failed fits are recorded with
+    ICL = -inf instead of aborting the sweep.
     """
     q_list = [int(q) for q in q_range]
     if not q_list or sorted(q_list) != q_list:
@@ -102,7 +96,8 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
     opts = dict(fit_options or {})
     opts.pop("seed", None)
 
-    def one(q):
+    records = []
+    for q in q_list:
         if seed is None or isinstance(seed, numbers.Integral):
             seed_q = None if seed is None else int(seed) * 1000 + q
         else:
@@ -110,15 +105,9 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
         try:
             fr = fit(graph, spec, q, cov, seed=seed_q, **opts)
             fr.icl = icl(graph, spec, fr, cov, edge_count=edge_count)
-            return SelectionRecord(q=q, fit=fr, icl=fr.icl)
+            records.append(SelectionRecord(q=q, fit=fr, icl=fr.icl))
         except (BlockfitError, ValueError, np.linalg.LinAlgError) as exc:
-            return SelectionRecord(q=q, fit=None, icl=-np.inf, error=str(exc))
-
-    if n_jobs and n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(one, q_list))
-    else:
-        records = [one(q) for q in q_list]
+            records.append(SelectionRecord(q=q, fit=None, icl=-np.inf, error=str(exc)))
 
     best = _choose(records)
     if not np.isfinite(best.icl):

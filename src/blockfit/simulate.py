@@ -12,13 +12,12 @@ whatever (a, gamma_ratio) are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import families
-from .engine import FitResult, MixtureParams, fit
-from .errors import BlockfitError, NumericalError
+from .engine import MixtureParams, fit
+from .errors import BlockfitError, FamilyError, NumericalError
 from .families import FamilySpec, PoissonParams
 from .graph import EdgeCovariates, ValuedGraph
 from .selection import select_q
@@ -131,51 +130,43 @@ def _replicate_seed(config, r):
 
 def run_experiment(config: GridConfig, spec: FamilySpec | None = None,
                    mode: str = "estimation", *, q_max: int | None = None,
-                   fit_options: dict | None = None, n_jobs: int = 1) -> ExperimentReport:
+                   fit_options: dict | None = None) -> ExperimentReport:
     """Run one grid cell.
 
     estimation: fit at the true q_star, report per-parameter RMSE (classes
     aligned by descending estimated proportions) and mean normalized
     entropy H/n.  selection: sweep Q = 1..q_max (10 by default, 5 when
     n >= 1000) and report how often each Q is chosen.  Replicates whose fit
-    fails are dropped and counted.  ``n_jobs > 1`` runs replicates in that
-    many threads, which slows small graphs down rather than up (see
-    :func:`blockfit.selection.select_q`).
+    fails are dropped and counted.  The grid is Poisson, so ``spec`` must be
+    the ``poisson`` family (the default); any other raises ``FamilyError``.
     """
     spec = spec or FamilySpec("poisson")
     if mode not in ("estimation", "selection"):
         raise ValueError(f"unknown mode {mode!r}")
+    if spec.kind != "poisson":
+        raise FamilyError(f"the simulation grid is Poisson; family {spec.kind!r} cannot fit it")
     truth = grid_params(config.a, config.lam, config.gamma_ratio, config.q_star)
     fam = families.get_family(spec)
-    if mode == "estimation" and fam.block_means(truth.theta) is None:
-        raise BlockfitError(f"estimation mode has no block-parameter matrix for {spec.kind!r}")
     opts = dict(fit_options or {})
     opts.pop("seed", None)
     if q_max is None:
         q_max = 5 if config.n >= 1000 else 10
 
-    def one(r):
-        seed_r = _replicate_seed(config, r)
-        g, _ = sample_graph(truth, config.n, directed=False, spec=spec, seed=seed_r)
-        fit_seed = (0 if config.seed is None else int(config.seed)) * 100003 + r
-        if mode == "estimation":
-            fr = fit(g, spec, config.q_star, seed=fit_seed, **opts)
-            theta_hat = fam.block_means(fr.params.theta)
-            return fr.params.alpha, theta_hat, fr.entropy / config.n
-        sel = select_q(g, spec, range(1, q_max + 1), seed=fit_seed, fit_options=opts)
-        return sel.chosen_q
-
     results, failed = [], 0
-    if n_jobs and n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            futures = list(pool.map(_safe(one), range(config.s)))
-    else:
-        futures = [_safe(one)(r) for r in range(config.s)]
-    for res in futures:
-        if res is None:
+    for r in range(config.s):
+        fit_seed = (0 if config.seed is None else int(config.seed)) * 100003 + r
+        try:
+            g, _ = sample_graph(truth, config.n, directed=False, spec=spec,
+                                seed=_replicate_seed(config, r))
+            if mode == "estimation":
+                fr = fit(g, spec, config.q_star, seed=fit_seed, **opts)
+                results.append((fr.params.alpha, fam.block_means(fr.params.theta),
+                                fr.entropy / config.n))
+            else:
+                sel = select_q(g, spec, range(1, q_max + 1), seed=fit_seed, fit_options=opts)
+                results.append(sel.chosen_q)
+        except (BlockfitError, np.linalg.LinAlgError):
             failed += 1
-        else:
-            results.append(res)
     if not results:
         raise NumericalError("every replicate failed")
 
@@ -195,11 +186,3 @@ def run_experiment(config: GridConfig, spec: FamilySpec | None = None,
         report.q_frequencies = {int(q): float(c) / total for q, c in zip(qs, counts)}
     return report
 
-
-def _safe(fn):
-    def wrapped(r):
-        try:
-            return fn(r)
-        except (BlockfitError, np.linalg.LinAlgError):
-            return None
-    return wrapped

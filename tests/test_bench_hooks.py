@@ -109,3 +109,30 @@ def test_tracer_records_the_start_of_a_sparse_fit():
     assert spans.restored()
     assert fr.diagnostics["init"] == "spectral"
     assert spans.totals(0)["engine.init_partition"][0] == 1
+
+
+def test_tracer_records_the_load_path(tmp_path):
+    """``io.load_graph`` parses through ``io.read_edge_csv`` and
+    ``io.load_covariates`` attaches through ``graph.attach_covariates``, so
+    the CSV layer metrics of the benchmark read non-zero on every workload
+    that loads files."""
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j,value\n0,1,2\n0,2,0\n1,2,5\n", encoding="utf-8")
+    covs = tmp_path / "cov.csv"
+    covs.write_text("i,j,y1,y2\n0,1,1.0,0.5\n0,2,-1.0,2.0\n1,2,0.0,1.5\n", encoding="utf-8")
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+        g = io.load_graph(edges)
+        cov = io.load_covariates(g, covs)
+    finally:
+        spans.restore()
+    assert spans.restored()
+    assert g.value(2, 1) == 5.0 and cov.vector(1, 2).tolist() == [0.0, 1.5]
+    totals = spans.totals(0)
+    layers = ("io.read_edge_csv", "graph.build_graph", "io.load_covariates",
+              "graph.attach_covariates")
+    assert {name: totals.get(name, (0,))[0] for name in layers} == dict.fromkeys(layers, 1)
+    parent = {name: spans.spans[up][0] for name, _, _, up, _ in spans.spans if up is not None}
+    assert parent == {"io.read_edge_csv": "io.load_graph", "graph.build_graph": "io.load_graph",
+                      "graph.attach_covariates": "io.load_covariates"}

@@ -257,18 +257,24 @@ def test_cli_predict_loads_its_inputs_as_fit_does(tmp_path, two_block_graph, cap
     assert "requires --cov" in capsys.readouterr().err
 
 
-def test_cli_deterministic_only_where_it_sets_the_threads(tmp_path, two_block_graph):
+def test_cli_deterministic_is_a_usage_error(tmp_path, two_block_graph):
+    """Sweeps run serially, so no command takes a thread flag."""
     _, edges = two_block_graph
     assert main(["fit", "--edges", str(edges), "--q", "2", "--deterministic"]) == 2
     assert main(["select", "--edges", str(edges), "--qmin", "1", "--qmax", "2",
-                 "--restarts", "1", "--deterministic", "--out", str(tmp_path / "s.csv")]) == 0
+                 "--restarts", "1", "--deterministic", "--out", str(tmp_path / "s.csv")]) == 2
+    config = tmp_path / "cell.json"
+    config.write_text('{"n": 20, "a": 0.5, "lambda": 2, "gamma": 0.5, "s": 1}')
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
+                 "--deterministic"]) == 2
 
 
 def test_read_edge_csv_paired(tmp_path):
     path = tmp_path / "paired.csv"
     path.write_text("i,j,v1,v2\n0,1,1.5,2.5\n")
-    entries, paired = read_edge_csv(path)
-    assert paired and entries == [(0, 1, (1.5, 2.5))]
+    cols, paired = read_edge_csv(path)
+    assert paired and (cols.i.tolist(), cols.j.tolist()) == ([0], [1])
+    assert cols.values.tolist() == [[1.5, 2.5]]
 
 
 def test_fit_from_jsonable_rejects_garbage():

@@ -454,10 +454,13 @@ def test_fit_keeps_the_earliest_of_restarts_that_tie(monkeypatch):
     assert np.array_equal(fr.posterior.tau, starts[0]) and fr.bound == J
 
 
-def test_posterior_reports_final_estep_convergence():
+def test_posterior_reports_final_estep_convergence(monkeypatch):
+    from blockfit import engine
+
     g, _ = sample_poisson([[2.0, 1.5], [1.5, 2.0]], [0.5, 0.5], 30, seed=0)
     assert bf.fit(g, POISSON, 2, seed=1, restarts=1).posterior.converged is True
-    fr = bf.fit(g, POISSON, 2, seed=1, restarts=1, estep_max_sweeps=1)
+    monkeypatch.setattr(engine, "ESTEP_MAX_SWEEPS", 1)
+    fr = bf.fit(g, POISSON, 2, seed=1, restarts=1)
     assert fr.posterior.converged is False
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockfit import GraphBuildError, ValuedGraph, attach_covariates, build_graph
+from blockfit.graph import EdgeCovariates
 from blockfit.io import load_graph
 
 
@@ -101,6 +102,17 @@ def test_values_are_immutable():
     g = build_graph(2, True, [(0, 1, 1), (1, 0, 0)], "count")
     with pytest.raises(ValueError):
         g.values[0, 1] = 7
+
+
+def test_construction_leaves_the_callers_array_writeable():
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    g = ValuedGraph(n=2, directed=False, value_kind="count", values=a)
+    y = np.zeros((3, 3, 1))
+    cov = EdgeCovariates(p=1, y=y)
+    assert a.flags.writeable and y.flags.writeable
+    assert not g.values.flags.writeable and not cov.y.flags.writeable
+    with pytest.raises(ValueError):
+        cov.y[0, 1, 0] = 1.0
 
 
 def test_attach_covariates():

@@ -3,6 +3,7 @@ import pytest
 
 import blockfit as bf
 from blockfit import FamilySpec, GridConfig, grid_params, rmse, run_experiment, sample_graph
+from blockfit import simulate
 from blockfit.engine import MixtureParams
 from blockfit.families import PoissonParams
 
@@ -128,3 +129,16 @@ def test_run_experiment_rejects_bad_mode():
     config = GridConfig(n=10, a=1.0, lam=1.0, gamma_ratio=0.5, s=1)
     with pytest.raises(ValueError):
         run_experiment(config, mode="nope")
+
+
+@pytest.mark.parametrize("kind, extra", [("bernoulli", {}),
+                                         ("poisson-prmh", {"covariate_dim": 1})])
+def test_run_experiment_refuses_a_family_the_grid_cannot_fit(monkeypatch, kind, extra):
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulate, "sample_graph", no_replicate)
+    config = GridConfig(n=10, a=1.0, lam=1.0, gamma_ratio=0.5, s=2)
+    for mode in ("estimation", "selection"):
+        with pytest.raises(bf.FamilyError, match=repr(kind)):
+            run_experiment(config, FamilySpec(kind, **extra), mode=mode)
