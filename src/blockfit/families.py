@@ -506,8 +506,7 @@ def _log_factorial_total(graph):
     chunks of ``_HIST_CHUNK`` entries (no n^2 integer copy).  Larger values
     sum gammaln(x + 1) over the entries x > 1 (log 0! = log 1! = 0).
     """
-    S = graph.sparse_values
-    x = (graph.scalar_values if S is None else S.data).reshape(-1)
+    x = _scalar_entries(graph).reshape(-1)
     top = x.max(initial=0.0)
     if top <= LOG_FACTORIAL_HIST_MAX:
         counts = np.zeros(int(top) + 1, dtype=np.int64)
@@ -520,6 +519,13 @@ def _log_factorial_total(graph):
     return t if graph.directed else 0.5 * t
 
 
+def _scalar_entries(graph):
+    """Every scalar value that may be non-zero: the data of the CSR view
+    when the graph has one, else the dense values."""
+    S = graph.sparse_values
+    return graph.scalar_values if S is None else S.data
+
+
 def _scalar_statistic(graph):
     """The scalar values as a statistic: the CSR view when the graph has one."""
     S = graph.sparse_values
@@ -529,6 +535,14 @@ def _scalar_statistic(graph):
 def _zero_diagonal(S):
     np.fill_diagonal(S, 0.0)
     return S
+
+
+def _without_diagonal(block, rows):
+    """``block``, the rows ``rows`` (a slice) of an (n, n) matrix, with the
+    entries of the diagonal set to zero."""
+    k = np.arange(block.shape[0])
+    block[k, rows.indices(block.shape[1])[0] + k] = 0.0
+    return block
 
 
 def _block_sums(S, tau):
@@ -582,6 +596,8 @@ class _Family:
                 f"covariate dimension {cov.p} does not match spec p={self.spec.covariate_dim}")
         if cov is not None and cov.y.shape[0] != graph.n:
             raise FamilyError(f"covariates on {cov.y.shape[0]} nodes for a graph of n={graph.n}")
+        if cov is not None and not graph.directed and not cov.symmetric:
+            raise FamilyError("an undirected graph needs symmetric covariates (y_ij == y_ji)")
         entry = FAMILIES[self.kind]
         if entry.strict_kind and graph.value_kind != entry.value_kind:
             raise FamilyError(f"{self.kind} family expects {entry.value_kind} values")
@@ -611,12 +627,12 @@ class _Family:
     def sample_matrix(self, params, z, rng, cov, directed):
         raise NotImplementedError
 
-    def predicted_matrix(self, params, tau, graph, cov):
-        """X_hat[i, j] = sum_ql tau_iq tau_jl E[X_ij | q, l]; this default
-        serves the families whose block means do not depend on covariates."""
-        out = tau @ self.block_means(params) @ tau.T
-        np.fill_diagonal(out, 0.0)
-        return out
+    def predicted_rows(self, params, tau, rows, cov):
+        """X_hat[rows] for a slice of rows, where X_hat[i, j] =
+        sum_ql tau_iq tau_jl E[X_ij | q, l] off the diagonal and 0 on it;
+        this default serves the families whose block means do not depend on
+        covariates."""
+        return _without_diagonal(tau[rows] @ self.block_means(params) @ tau.T, rows)
 
     def block_means(self, params):
         """Per-block mean value, when it does not depend on covariates."""
@@ -795,18 +811,18 @@ class _PoissonRegFamily(_Family):
         X = rng.poisson(R).astype(float)
         return _edge_matrix(X, directed)
 
-    def predicted_matrix(self, params, tau, graph, cov):
+    def predicted_rows(self, params, tau, rows, cov):
+        Y = cov.y[rows]
         if self.shared:
-            out = (tau @ params.lam @ tau.T) * np.exp(cov.y @ params.beta)
+            out = (tau[rows] @ params.lam @ tau.T) * np.exp(Y @ params.beta)
         else:
             Q = params.Q
-            out = np.zeros((graph.n, graph.n))
+            out = np.zeros(Y.shape[:2])
             for q in range(Q):
                 for l in range(Q):
-                    E = np.exp(cov.y @ params.beta[q, l])
-                    out += np.outer(tau[:, q], tau[:, l]) * params.lam[q, l] * E
-        np.fill_diagonal(out, 0.0)
-        return out
+                    E = np.exp(Y @ params.beta[q, l])
+                    out += np.outer(tau[rows, q], tau[:, l]) * params.lam[q, l] * E
+        return _without_diagonal(out, rows)
 
     def block_means(self, params):
         # baseline intensity at y = 0
@@ -816,7 +832,7 @@ class _PoissonRegFamily(_Family):
 class _BernoulliFamily(_StatFamily):
     def check_graph(self, graph, cov):
         super().check_graph(graph, cov)
-        if not np.all(np.isin(graph.scalar_values, (0.0, 1.0))):  # the diagonal is zero
+        if not np.all(np.isin(_scalar_entries(graph), (0.0, 1.0))):  # the diagonal is zero
             raise FamilyError("Bernoulli family expects 0/1 values")
 
     def statistics(self, graph, cov):
@@ -1060,12 +1076,12 @@ class _LinearRegressionFamily(_StatFamily):
         X = rng.normal(mean, sd)
         return _edge_matrix(X, directed)
 
-    def predicted_matrix(self, params, tau, graph, cov):
-        out = np.zeros((graph.n, graph.n))
+    def predicted_rows(self, params, tau, rows, cov):
+        Y = cov.y[rows]
+        out = np.zeros(Y.shape[:2])
         for d in range(cov.p):
-            out += (tau @ params.beta[:, :, d] @ tau.T) * cov.y[:, :, d]
-        np.fill_diagonal(out, 0.0)
-        return out
+            out += (tau[rows] @ params.beta[:, :, d] @ tau.T) * Y[:, :, d]
+        return _without_diagonal(out, rows)
 
 
 class _SimpleRegressionFamily(_Family):
@@ -1131,10 +1147,9 @@ class _SimpleRegressionFamily(_Family):
         X = rng.normal(mean, np.sqrt(params.sigma2))
         return _edge_matrix(X, directed)
 
-    def predicted_matrix(self, params, tau, graph, cov):
-        out = tau @ params.intercept @ tau.T + params.slope * cov.y[:, :, 0]
-        np.fill_diagonal(out, 0.0)
-        return out
+    def predicted_rows(self, params, tau, rows, cov):
+        out = tau[rows] @ params.intercept @ tau.T + params.slope * cov.y[rows, :, 0]
+        return _without_diagonal(out, rows)
 
 
 # ---------------------------------------------------------------------------

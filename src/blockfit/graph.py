@@ -1,24 +1,26 @@
 """Immutable valued-graph containers with optional per-edge covariates.
 
-Edge values are held densely in an (n, n) array (or (n, n, 2) for paired
-values) whose diagonal is structurally zero and never read: every model in
-this package sums over i != j only.  Undirected graphs store a symmetric
-array so that reading (i, j) and (j, i) always agrees; for the paired kind
-the two components swap under transposition.
+Edge values are (n, n) arrays (or (n, n, 2) for paired values) whose
+diagonal is structurally zero and never read: every model in this package
+sums over i != j only.  Undirected graphs store a symmetric array so that
+reading (i, j) and (j, i) always agrees; for the paired kind the two
+components swap under transposition.
 
 Every way in, the ``io`` readers included, passes the :class:`ValuedGraph`
 constructor, which refuses a bad kind, shape or diagonal, and values outside
 their domain or, when undirected, not symmetric (:func:`build_graph` checks
-its entries instead, before it writes them).
+its entries instead, before it stores them).
 
 Count and binary graphs are often mostly zeros.  Below ``CSR_MAX_DENSITY``
-a graph also offers its scalar values as a cached CSR view
+a graph also offers its scalar values as a cached CSR array
 (:attr:`ValuedGraph.sparse_values`), from which the Poisson and Bernoulli
-statistics, the spectral start that ``engine.fit`` takes on such a graph
-and an explicitly requested Ward start read only the non-zero entries; the
-dense ``values`` stay the canonical storage.  :func:`build_graph` seeds the
-view from the entries it assembled; a graph made otherwise builds it from
-the dense values on first use.
+statistics, the spectral start that ``engine.fit`` takes on such a graph,
+an explicitly requested Ward start, ICL and prediction read only the
+non-zero entries.  A count graph that :func:`build_graph` assembles from
+entries below that density keeps only this CSR array: its dense ``values``
+are built from it on first read, so such a graph loads, fits and reports in
+O(nnz) memory.  Every other graph stores its dense values, and one made
+from them builds the CSR array on first use.
 """
 
 from __future__ import annotations
@@ -119,7 +121,27 @@ def _check_dense_size(n, width):
             f"more than the {phys / 2 ** 30:.1f} GiB of physical memory")
 
 
-@dataclass(frozen=True)
+class _Values:
+    """The ``values`` field of :class:`ValuedGraph`.
+
+    The dense array lives in the instance's ``_values``.  A graph stored as
+    its CSR array alone holds None there, and builds (and keeps, read-only)
+    the dense array from :attr:`ValuedGraph.sparse_values` on first read.
+    """
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            raise AttributeError("values")  # a field without a default
+        vals = vars(g)["_values"]
+        if vals is None:
+            vals = vars(g)["_values"] = _freeze(g.sparse_values.toarray())
+        return vals
+
+    def __set__(self, g, vals):
+        vars(g)["_values"] = vals
+
+
+@dataclass(frozen=True, repr=False)
 class ValuedGraph:
     """A complete valued graph on n nodes without self-loops.
 
@@ -140,27 +162,41 @@ class ValuedGraph:
         1..num_labels; undirected values symmetric, "paired" ones with the
         swapped couple at (j, i).  The first value that fails raises
         :class:`GraphBuildError` naming its (i,j).  The graph keeps a
-        read-only view of ``values`` (of a copy unless it is C-contiguous
-        float64); the caller's array stays writeable and must not change
-        afterwards.
+        read-only copy; the caller's array stays its own.
     num_labels : int, optional
         Number of possible labels m for the "label" kind.
+
+    A sparse count graph from :func:`build_graph` stores only
+    :attr:`sparse_values`; ``values`` and :attr:`scalar_values` are then
+    built on first read and kept, while :meth:`value`,
+    :meth:`weighted_degrees` and :meth:`scalar_rows` read the CSR array.
     """
 
     n: int
     directed: bool
     value_kind: str
-    values: np.ndarray
+    values: np.ndarray = _Values()  # a required field; _Values gives no default
     num_labels: int | None = None
-    # set only by build_graph, whose _assemble has checked every entry it wrote
+    # values is an array made for this graph (from_matrix), kept without a copy
+    _owned: InitVar[bool] = False
+    # set only by build_graph, whose _entry_pairs has checked every entry it
+    # stored in an array of its own, or in the CSR array ``_csr`` alone
     _checked: InitVar[bool] = False
+    _csr: InitVar[sparse.csr_array | None] = None
 
-    def __post_init__(self, _checked):
+    def __post_init__(self, _owned, _checked, _csr):
         n = self.n
         _check_kind(n, self.directed, self.value_kind, self.num_labels)
+        if _csr is not None:
+            self.__dict__["sparse_values"] = _csr
+            return
         paired = self.value_kind == "paired"
         want = (n, n, 2) if paired else (n, n)
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        given = vars(self)["_values"]
+        if _owned or _checked:
+            vals = np.ascontiguousarray(given, dtype=float)
+        else:
+            vals = np.array(given, dtype=float, order="C")
         if vals.shape != want:
             raise GraphBuildError(f"values must have shape {want}, got {vals.shape}")
         if vals[np.arange(n), np.arange(n)].any():
@@ -179,6 +215,11 @@ class ValuedGraph:
                     "from its mirror"))
         object.__setattr__(self, "values", _freeze(vals))
 
+    def __repr__(self):
+        held = "CSR" if self._csr_only else "dense"
+        return (f"ValuedGraph(n={self.n}, directed={self.directed}, "
+                f"value_kind={self.value_kind!r}, num_labels={self.num_labels}, {held})")
+
     @classmethod
     def from_matrix(cls, values, directed, value_kind="count", num_labels=None):
         """Build from a copy of a dense value array with its diagonal set to
@@ -188,12 +229,19 @@ class ValuedGraph:
         if vals.shape[:2] == (n, n):
             vals[np.arange(n), np.arange(n)] = 0.0
         return cls(n=n, directed=bool(directed), value_kind=value_kind, values=vals,
-                   num_labels=num_labels)
+                   num_labels=num_labels, _owned=True)
+
+    @property
+    def _csr_only(self) -> bool:
+        """Whether the graph holds no dense values (yet): read the CSR array."""
+        return vars(self)["_values"] is None
 
     def value(self, i, j):
         """Edge value X_ij; a couple (X_ij, X_ji) for the paired kind."""
         if i == j:
             raise GraphBuildError("no value stored on the diagonal (self-loops excluded)")
+        if self._csr_only:
+            return float(self.sparse_values[i, j])
         v = self.values[i, j]
         return tuple(v) if self.value_kind == "paired" else float(v)
 
@@ -201,6 +249,20 @@ class ValuedGraph:
     def scalar_values(self) -> np.ndarray:
         """The (n, n) matrix of X_ij (first component for the paired kind)."""
         return self.values[:, :, 0] if self.value_kind == "paired" else self.values
+
+    def scalar_rows(self, rows: slice) -> np.ndarray:
+        """``scalar_values[rows]`` for a slice of consecutive rows, without building the
+        dense values of a graph that holds only its CSR array (a new array
+        then, else a read-only view)."""
+        if not self._csr_only:
+            return self.scalar_values[rows]
+        S = self.sparse_values
+        r0, r1, _ = rows.indices(self.n)
+        lo, hi = S.indptr[r0], S.indptr[r1]
+        out = np.zeros((r1 - r0, self.n))
+        out[np.repeat(np.arange(r1 - r0), np.diff(S.indptr[r0:r1 + 1])),
+            S.indices[lo:hi]] = S.data[lo:hi]
+        return out
 
     @cached_property
     def sparse_values(self) -> sparse.csr_array | None:
@@ -225,6 +287,8 @@ class ValuedGraph:
 
     def weighted_degrees(self) -> np.ndarray:
         """K_i = sum_{j != i} X_ij (row sums of the scalar values)."""
+        if self._csr_only:
+            return self.sparse_values.sum(axis=1)
         return self.scalar_values.sum(axis=1)
 
 
@@ -233,19 +297,28 @@ class EdgeCovariates:
     """Per-edge covariate vectors y_ij of fixed dimension p.
 
     Defined on exactly the same index set as the host graph; for undirected
-    hosts y_ij == y_ji.
+    hosts y_ij == y_ji, which an undirected fit checks through
+    ``symmetric``, computed once at construction.  ``y`` is kept as a
+    read-only copy; the caller's array stays its own.
     """
 
     p: int
     y: np.ndarray = field(repr=False)  # (n, n, p), zero diagonal
+    symmetric: bool = field(init=False, repr=False)  # y_ij == y_ji for every pair
+    # y is an array made for these covariates, kept without a copy
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        arr = np.asarray(self.y, dtype=float)
+    def __post_init__(self, _owned):
+        if _owned:
+            arr = np.ascontiguousarray(self.y, dtype=float)
+        else:
+            arr = np.array(self.y, dtype=float, order="C")
         if arr.ndim != 3 or arr.shape[2] != self.p or arr.shape[0] != arr.shape[1]:
             raise GraphBuildError("covariates must have shape (n, n, p)")
         if not np.all(np.isfinite(arr)):
             raise GraphBuildError("non-finite covariate entry")
         object.__setattr__(self, "y", _freeze(arr))
+        object.__setattr__(self, "symmetric", bool(np.array_equal(arr, arr.transpose(1, 0, 2))))
 
     @classmethod
     def from_matrix(cls, y, directed):
@@ -254,9 +327,10 @@ class EdgeCovariates:
             arr = arr[:, :, None]
         n = arr.shape[0]
         arr[np.arange(n), np.arange(n), :] = 0.0
-        if not directed and not np.array_equal(arr, arr.transpose(1, 0, 2)):
+        cov = cls(p=arr.shape[2], y=arr, _owned=True)
+        if not directed and not cov.symmetric:
             raise GraphBuildError("undirected covariates must be symmetric")
-        return cls(p=arr.shape[2], y=arr)
+        return cov
 
     def vector(self, i, j) -> np.ndarray:
         if i == j:
@@ -303,8 +377,8 @@ def _has_repeats(key):
     return bool(np.any(key[1:] == key[:-1]))
 
 
-def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=None):
-    """Validate entry columns and scatter them into a dense (n, n, w) array.
+def _entry_pairs(n, directed, cols, what, value_kind="real", num_labels=None, fill=None):
+    """Validate entry columns; returns the distinct pairs they give.
 
     Rejects self-loops, out-of-range indices, non-finite or out-of-domain
     values, conflicting duplicates and, without ``fill``, missing pairs;
@@ -314,15 +388,11 @@ def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=
     with j > i are swapped to match.  Only when some key repeats are the
     entries sorted, checked for conflicting duplicates and reduced to the
     first entry of each pair; keys in increasing order cost one O(m) check.
-    Values are scattered through the flat keys and, when undirected, their
-    mirrors (b, a), which hold the swapped couple for "paired", so assembly
-    costs O(m) beyond the (n, n, w) allocation.  A complete list without
-    ``fill`` writes every off-diagonal entry, so its array is allocated
-    uninitialised.  Unspecified pairs hold ``fill``, and below the diagonal
-    of a paired graph the swapped fill couple.
+    Nothing of size n^2 is allocated unless pairs may be missing, and an
+    (n, n, w) array that would not fit in memory is refused first.
 
-    Returns ``(vals, a, b, v)``: the array, and the indices and (w,) value
-    of each distinct pair, in no particular order.
+    Returns ``(a, b, key, v)``: the indices, flat key and (w,) value of
+    each distinct pair, in no particular order.
     """
     i, j, v = cols
     w = v.shape[1]
@@ -338,12 +408,11 @@ def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=
     if fill is not None:
         _check_values(fill[None, :], value_kind, num_labels, lambda k: "fill")
 
-    swap = value_kind == "paired"
     if directed:
         a, b = i, j
     else:
         a, b = np.minimum(i, j), np.maximum(i, j)
-        if swap:
+        if value_kind == "paired":
             v = np.where((i > j)[:, None], v[:, ::-1], v)
     key = a * n + b
     if _has_repeats(key):
@@ -367,6 +436,21 @@ def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=
             missing = np.triu(missing)
         p, q = np.argwhere(missing)[0]
         raise GraphBuildError(f"missing {what} for pair ({p}, {q})")
+    return a, b, key, v
+
+
+def _scatter(n, directed, pairs, fill=None, swap=False):
+    """The dense (n, n, w) array of the pairs :func:`_entry_pairs` returned.
+
+    Values are scattered through the flat keys and, when undirected, their
+    mirrors (b, a), which hold the swapped couple when ``swap`` ("paired"),
+    so this costs O(m) beyond the allocation.  A complete list without
+    ``fill`` writes every off-diagonal entry, so its array is allocated
+    uninitialised.  Unspecified pairs hold ``fill``, and below the diagonal
+    of a paired graph the swapped fill couple.
+    """
+    a, b, key, v = pairs
+    w = v.shape[1]
     vals = np.empty((n, n, w)) if fill is None else np.full((n, n, w), fill)
     flat = vals.reshape(n * n, w)
     flat[key] = v
@@ -376,7 +460,19 @@ def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=
             vals[np.tri(n, k=-1, dtype=bool)] = fill[::-1]
         flat[b * n + a] = v[:, ::-1] if swap else v
     vals[np.arange(n), np.arange(n)] = 0.0
-    return vals, a, b, v
+    return vals
+
+
+def _assemble(n, directed, cols, what, value_kind="real", num_labels=None, fill=None):
+    """Validate entry columns (:func:`_entry_pairs`) and scatter them into a
+    dense (n, n, w) array (:func:`_scatter`).
+
+    Returns ``(vals, a, b, v)``: the array, and the indices and (w,) value
+    of each distinct pair, in no particular order.
+    """
+    pairs = _entry_pairs(n, directed, cols, what, value_kind, num_labels, fill)
+    a, b, _, v = pairs
+    return _scatter(n, directed, pairs, fill, swap=value_kind == "paired"), a, b, v
 
 
 def _sparse_enough(nnz, n):
@@ -384,34 +480,31 @@ def _sparse_enough(nnz, n):
     return nnz <= CSR_MAX_DENSITY * (n * n)
 
 
-def _seed_sparse_values(g, a, b, v, fill):
-    """Set ``g.sparse_values`` from the pairs :func:`_assemble` returned.
-
-    Gives the CSR array :attr:`ValuedGraph.sparse_values` would build from
-    the dense values (sorted indices, no stored zeros, the first component
-    of paired couples), from the m pairs instead of two n^2 passes.  A
-    non-zero ``fill`` puts a value on every unspecified pair: the view is
-    then None when those values alone make the graph too dense, and is
-    otherwise left to the dense computation, which is O(m) for a list that
-    complete.
-    """
-    first = [0] if g.directed else [0, -1]  # the mirror (b, a) holds a couple's second component
-    nnz = sum(np.count_nonzero(v[:, c]) for c in first)
-    unset = 0 if fill is None else (g.n_pairs() - a.size) * np.count_nonzero(fill[first])
-    if not _sparse_enough(nnz + unset, g.n):
-        g.__dict__["sparse_values"] = None
-    elif not unset:
-        if not g.directed:
-            a, b, v = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([v, v[:, ::-1]])
-        keep = v[:, 0] != 0
-        index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64  # as scipy's, from dense
-        # built through COO, whose conversion sorts the indices
-        g.__dict__["sparse_values"] = sparse.csr_array(
-            (v[keep, 0], (a[keep].astype(index), b[keep].astype(index))), shape=(g.n, g.n))
+def _pairs_csr(n, directed, a, b, v, nnz):
+    """The CSR array :attr:`ValuedGraph.sparse_values` would build from the
+    dense values of the pairs (sorted indices, no stored zeros, the first
+    component of paired couples), built from the m pairs instead; ``nnz``
+    is the count of its non-zero entries."""
+    if not directed:
+        a, b, v = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([v, v[:, ::-1]])
+    keep = v[:, 0] != 0
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64  # as scipy's, from dense
+    # built through COO, whose conversion sorts the indices
+    return sparse.csr_array((v[keep, 0], (a[keep].astype(index), b[keep].astype(index))),
+                            shape=(n, n))
 
 
 def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) -> ValuedGraph:
     """Validate an edge list and assemble a :class:`ValuedGraph`.
+
+    A count graph whose non-zero values (fill included) are at most
+    ``CSR_MAX_DENSITY`` of its n^2 entries keeps only its CSR array, built
+    from the entries: no n^2 array is allocated.  Any other graph is
+    scattered into its dense values, and its CSR view is seeded from the
+    entries when it is that sparse.  A non-zero ``fill`` puts a value on
+    every unspecified pair: the view is then None when those values alone
+    make the graph too dense, and is otherwise left to the dense values,
+    from which it is O(m) for a list that complete.
 
     Parameters
     ----------
@@ -434,12 +527,26 @@ def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) ->
     width = 2 if value_kind == "paired" else 1
     if fill is not None:
         fill = np.broadcast_to(np.asarray(fill, dtype=float), (width,))
-    vals, a, b, v = _assemble(n, directed, _columns(entries, width), "entry", value_kind,
-                             num_labels, fill)
+    pairs = _entry_pairs(n, directed, _columns(entries, width), "entry", value_kind, num_labels,
+                         fill)
+    a, b, _, v = pairs
+    first = [0] if directed else [0, -1]  # the mirror (b, a) holds a couple's second component
+    nnz = sum(np.count_nonzero(v[:, c]) for c in first)
+    n_pairs = n * (n - 1) if directed else n * (n - 1) // 2
+    unset = 0 if fill is None else (n_pairs - a.size) * np.count_nonzero(fill[first])
+    sparse_enough = _sparse_enough(nnz + unset, n)
+    csr = _pairs_csr(n, directed, a, b, v, nnz) if sparse_enough and not unset else None
+    # a CSR array stores no -0.0, so such a count stays dense to keep its bytes
+    if (csr is not None and value_kind == "count" and not np.signbit(v).any()
+            and (fill is None or not np.signbit(fill).any())):
+        return ValuedGraph(n=n, directed=directed, value_kind=value_kind, values=None,
+                           _checked=True, _csr=csr)
+    vals = _scatter(n, directed, pairs, fill, swap=width == 2)
     g = ValuedGraph(n=n, directed=directed, value_kind=value_kind,
                     values=vals if width == 2 else vals[:, :, 0], num_labels=num_labels,
                     _checked=True)
-    _seed_sparse_values(g, a, b, v, fill)
+    if not sparse_enough or csr is not None:
+        g.__dict__["sparse_values"] = csr
     return g
 
 
@@ -456,4 +563,4 @@ def attach_covariates(graph: ValuedGraph, cov_entries) -> EdgeCovariates:
     if cols.values.shape[1] < 1:
         raise GraphBuildError("covariate dimension must be >= 1")
     y = _assemble(graph.n, graph.directed, cols, "covariate")[0]
-    return EdgeCovariates(p=y.shape[2], y=y)
+    return EdgeCovariates(p=y.shape[2], y=y, _owned=True)

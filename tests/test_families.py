@@ -477,3 +477,26 @@ def test_covariates_on_another_node_count_are_refused():
     cov = rand_cov(rng, 12, 1, directed=False)
     with pytest.raises(FamilyError, match=r"12 nodes.*n=10"):
         bf.fit(g, PRMH, 2, cov, restarts=1)
+
+
+def test_undirected_fits_refuse_asymmetric_covariates():
+    rng = np.random.default_rng(1)
+    g = rand_graph(rng, 12, directed=False)
+    y = rng.normal(size=(12, 12, 1))
+    y[np.arange(12), np.arange(12)] = 0.0
+    direct = EdgeCovariates(p=1, y=y)
+    assert not direct.symmetric  # computed once, at construction
+    with pytest.raises(FamilyError, match="symmetric covariates"):
+        bf.fit(g, PRMH, 2, direct, restarts=1)
+    with pytest.raises(FamilyError, match="symmetric covariates"):
+        bf.weighted_mle(PRMH, hard_tau(np.arange(12) % 2, 2), g, direct)
+    with pytest.raises(bf.GraphBuildError, match="symmetric"):
+        EdgeCovariates.from_matrix(y, directed=False)
+    entries = [(i, j, y[i, j]) for i in range(12) for j in range(12) if i != j]
+    with pytest.raises(bf.GraphBuildError, match="conflicting duplicate covariate"):
+        bf.attach_covariates(g, entries)
+    # a directed graph takes them
+    gd = rand_graph(rng, 12, directed=True)
+    fr = bf.fit(gd, PRMH, 2, EdgeCovariates.from_matrix(y, directed=True), restarts=1, seed=0)
+    assert np.isfinite(fr.bound)
+    assert bf.fit(gd, PRMH, 2, direct, restarts=1, seed=0).bound == fr.bound

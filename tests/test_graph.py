@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockfit import GraphBuildError, ValuedGraph, attach_covariates, build_graph
-from blockfit.graph import EdgeCovariates
+from blockfit.graph import EdgeColumns, EdgeCovariates
 from blockfit.io import load_graph
 
 
@@ -296,3 +297,42 @@ def test_direct_construction_refuses_values_outside_the_model(kind, directed, x0
     with pytest.raises(GraphBuildError, match=r"\(0,1\)|\(1,0\)"):
         ValuedGraph(n=3, directed=directed, value_kind=kind, values=vals,
                     num_labels=2 if kind == "label" else None)
+
+
+def test_a_write_to_the_callers_array_changes_no_graph():
+    a = np.zeros((30, 30))
+    a[0, 1] = a[1, 0] = 1.0
+    g = ValuedGraph(n=30, directed=False, value_kind="count", values=a)
+    view = g.sparse_values  # cached before the write
+    y = np.zeros((3, 3, 1))
+    cov = EdgeCovariates(p=1, y=y)
+    a[0, 1] = 2.5
+    y[0, 1, 0] = 4.0
+    assert g.values[0, 1] == 1.0 and g.value(0, 1) == 1.0
+    assert g.sparse_values is view and view[0, 1] == 1.0
+    assert cov.y[0, 1, 0] == 0.0 and cov.symmetric
+
+
+def test_ways_in_that_make_their_own_array_copy_it_no_more():
+    """from_matrix, build_graph and EdgeCovariates.from_matrix allocate one
+    n x n array, which the constructor keeps instead of copying."""
+    n = 512
+    one = n * n * 8
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=(n, n))
+    vals = vals + vals.T
+    entries = EdgeColumns(np.arange(n - 1), np.arange(1, n), np.ones((n - 1, 1)))
+    builds = {
+        "from_matrix": lambda: ValuedGraph.from_matrix(vals, False, "real"),
+        "build_graph": lambda: build_graph(n, False, entries, "real", fill=0.0),
+        "covariates": lambda: EdgeCovariates.from_matrix(vals, directed=False),
+    }
+    for way, build in builds.items():
+        tracemalloc.start()
+        try:
+            kept = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert one <= peak < 1.5 * one, way
+        del kept

@@ -10,7 +10,7 @@ import blockfit as bf
 from blockfit import FamilySpec
 from blockfit.engine import FitResult, MixtureParams, VariationalPosterior
 from blockfit.families import GaussianParams, PoissonParams, PoissonRegParams
-from blockfit.graph import CSR_MAX_DENSITY, EdgeCovariates, ValuedGraph
+from blockfit.graph import CSR_MAX_DENSITY, EdgeColumns, EdgeCovariates, ValuedGraph, build_graph
 from blockfit.predict import (
     _pair_r_squared,
     prediction_report,
@@ -143,6 +143,12 @@ def test_report_r2_edges_matches_the_gathered_pairs(data):
     g = ValuedGraph.from_matrix(_graph_values(draw, rng, kind, directed, sparse), directed, kind)
     if sparse:
         assert g.sparse_values is not None
+    dense = g
+    if sparse and kind == "count" and draw(st.booleans()):
+        # the same graph as build_graph keeps it: its CSR array alone
+        iu, ju = np.nonzero(g.values if directed else np.triu(g.values))
+        g = build_graph(g.n, directed, EdgeColumns(iu, ju, g.values[iu, ju]), kind, fill=0)
+        assert vars(g)["_values"] is None
     n, Q = g.n, draw(st.integers(1, 3))
     block = rng.uniform(0.1, 6.0, (Q, Q))
     if not directed:
@@ -155,7 +161,7 @@ def test_report_r2_edges_matches_the_gathered_pairs(data):
                   rng.dirichlet(np.ones(Q), size=n), spec)
 
     xhat = predict_edges(fr, g)
-    xobs = g.values.copy()
+    xobs = dense.values.copy()
     off = ~np.eye(n, dtype=bool)
     if not directed:
         off = np.triu(off)
@@ -174,6 +180,7 @@ def test_report_r2_edges_matches_the_gathered_pairs(data):
             prediction_report(fr, g)
         return
     rep = prediction_report(fr, g)
+    assert dense is g or vars(g)["_values"] is None  # read from the CSR array
     assert rep.r2_edges == pytest.approx(want, rel=1e-9, abs=1e-12)
     assert rep.observed_degrees.tobytes() == kobs.tobytes()
     assert np.array_equal(rep.predicted_degrees, rep.predicted_edges.sum(axis=1))
