@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -26,6 +27,10 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 
+class _UsageError(Exception):
+    """Arguments that parse but cannot be meant; checked before any file is read."""
+
+
 def _load_inputs(args):
     g = bio.load_graph(args.edges, directed=args.directed,
                        value_kind=FAMILIES[args.family].value_kind,
@@ -38,13 +43,29 @@ def _load_inputs(args):
     return g, cov, spec
 
 
-def _fit_options(args):
+def _read_labels(path, n, q):
+    """Initial labels from a CSV: n integers in 0..q-1."""
+    try:
+        with warnings.catch_warnings():  # an empty file is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            labels = np.loadtxt(path, dtype=int, delimiter=",", ndmin=1)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: labels must be integers ({exc})") from exc
+    if labels.shape != (n,):
+        raise InputFormatError(f"{path}: expected {n} labels, got {labels.size}")
+    if labels.min() < 0 or labels.max() >= q:
+        raise InputFormatError(f"{path}: labels must lie in 0..{q - 1}, "
+                               f"got {labels.min()}..{labels.max()}")
+    return labels
+
+
+def _fit_options(args, n, q):
+    """Fit options from the flags; ``q`` bounds the labels of ``--init file``."""
     opts = {"restarts": args.restarts, "tol": args.tol, "max_outer": args.max_iter}
     if args.init == "file":
         if not args.init_file:
             raise InputFormatError("--init file requires --init-file")
-        labels = np.loadtxt(args.init_file, dtype=int, delimiter=",", ndmin=1)
-        opts["init"] = labels
+        opts["init"] = _read_labels(args.init_file, n, q)
     else:
         opts["init"] = args.init  # fit reads "hier" as "hierarchical"
     return opts
@@ -65,7 +86,7 @@ def _add_common_fit_flags(sub):
     sub.add_argument("--init", choices=("auto", "hier", "random", "file"), default="auto",
                      help="start of the first restart: auto (spectral on graphs with a "
                           "CSR view, else hier), hier (Ward linkage), random, or file")
-    sub.add_argument("--init-file", help="CSV of initial labels for --init file")
+    sub.add_argument("--init-file", help="CSV of n initial labels in 0..Q-1 for --init file")
 
 
 def _covariate_mean(cov):
@@ -76,8 +97,12 @@ def _covariate_mean(cov):
 
 
 def cmd_fit(args):
+    if args.q < 1:
+        raise _UsageError(f"--q must be at least 1, got {args.q}")
     g, cov, spec = _load_inputs(args)
-    result = fit(g, spec, args.q, cov, seed=args.seed, **_fit_options(args))
+    if args.q > g.n:
+        raise InputFormatError(f"--q {args.q} exceeds the graph's {g.n} nodes")
+    result = fit(g, spec, args.q, cov, seed=args.seed, **_fit_options(args, g.n, args.q))
     result.icl = icl(g, spec, result, cov)
     extra = {"n": g.n, "directed": g.directed, "covariate_mean": _covariate_mean(cov)}
     out = args.out or "fit.json"
@@ -88,9 +113,13 @@ def cmd_fit(args):
 
 
 def cmd_select(args):
+    if args.qmin < 1:
+        raise _UsageError(f"--qmin must be at least 1, got {args.qmin}")
+    if args.qmin > args.qmax:
+        raise _UsageError(f"--qmin {args.qmin} exceeds --qmax {args.qmax}")
     g, cov, spec = _load_inputs(args)
     result = select_q(g, spec, range(args.qmin, args.qmax + 1), cov,
-                      fit_options=_fit_options(args), seed=args.seed,
+                      fit_options=_fit_options(args, g.n, args.qmax), seed=args.seed,
                       edge_count=args.edge_count_convention)
     out = args.out or "selection.csv"
     fmt = "json" if out.endswith(".json") else "csv"
@@ -257,6 +286,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"blockfit: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (InputFormatError, GraphBuildError, FileNotFoundError) as exc:
         print(f"blockfit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

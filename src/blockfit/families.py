@@ -382,15 +382,9 @@ class DecomposedScores:
             L += self.mask[:, :, None, None] * _offdiag_mask(S.shape[-1])
         return L
 
-    def gs_state(self, tau):
-        """Row-at-a-time scores (see :class:`_DecomposedGS`).
-
-        The engine does not call this: its E-step is line-searched Jacobi
-        sweeps.  It stays because the benchmark tracer in ``bench/`` wraps
-        ``gs_state`` by name and reports ``families.gs_state_calls``; it goes
-        with the next change to the benchmark.
-        """
-        return _DecomposedGS(self, tau)
+    # Kept only because bench/tracer.py looks this name up on the class; the
+    # next change to the benchmark removes it.  Nothing calls it.
+    gs_state = None
 
 
 class DenseScores:
@@ -417,62 +411,8 @@ class DenseScores:
     def dense(self):
         return self.tensor
 
-    def gs_state(self, tau):
-        """Row-at-a-time scores; kept only for the benchmark tracer, as
-        :meth:`DecomposedScores.gs_state` explains."""
-        return _DenseGS(self, tau)
-
-
-class _DecomposedGS:
-    """Row-at-a-time (Gauss-Seidel) evaluation with O(Q^2) row updates.
-
-    Unused by the engine; ``test_scoring`` checks it against node_scores.
-    """
-
-    def __init__(self, ops, tau):
-        self.ops = ops
-        self.tau = tau
-        self.tc = [tau @ C.T for C in ops.coeffs]
-        self.td = [tau @ C for C in ops.coeffs] if ops.directed else None
-        self.col = tau.sum(axis=0)  # running colsum(tau) for the mask term
-
-    def row_score(self, i):
-        s = 0.0
-        for k, S in enumerate(self.ops.stats):
-            s = s + S[i, :] @ self.tc[k]
-            if self.td is not None:
-                s = s + S[:, i] @ self.td[k]
-        mask = self.ops.mask
-        if mask is not None:
-            rest = self.col - self.tau[i]
-            s = s + mask @ rest
-            if self.td is not None:
-                s = s + rest @ mask
-        return s
-
-    def set_row(self, i, row):
-        self.col += row - self.tau[i]
-        self.tau[i] = row
-        for k, C in enumerate(self.ops.coeffs):
-            self.tc[k][i] = row @ C.T
-            if self.td is not None:
-                self.td[k][i] = row @ C
-
-
-class _DenseGS:
-    def __init__(self, ops, tau):
-        self.ops = ops
-        self.tau = tau
-
-    def row_score(self, i):
-        L = self.ops.tensor
-        s = np.einsum("qlj,jl->q", L[:, :, i, :], self.tau)
-        if self.ops.directed:
-            s = s + np.einsum("lqj,jl->q", L[:, :, :, i], self.tau)
-        return s
-
-    def set_row(self, i, row):
-        self.tau[i] = row
+    # Kept only for bench/tracer.py, as on DecomposedScores.
+    gs_state = None
 
 
 # ---------------------------------------------------------------------------
@@ -824,10 +764,6 @@ class _PoissonRegFamily(_Family):
                     out += np.outer(tau[rows, q], tau[:, l]) * params.lam[q, l] * E
         return _without_diagonal(out, rows)
 
-    def block_means(self, params):
-        # baseline intensity at y = 0
-        return params.lam
-
 
 class _BernoulliFamily(_StatFamily):
     def check_graph(self, graph, cov):
@@ -1027,7 +963,7 @@ class _LinearRegressionFamily(_StatFamily):
         Y = cov.y
         p = cov.p
         return ([X * X] + [X * Y[:, :, d] for d in range(p)]
-                + [_zero_diagonal(Y[:, :, d] * Y[:, :, e]) for d in range(p) for e in range(d, p)])
+                + [Y[:, :, d] * Y[:, :, e] for d in range(p) for e in range(d, p)])
 
     def coefficients(self, params):
         beta, s2 = params.beta, params.sigma2
@@ -1087,7 +1023,7 @@ class _LinearRegressionFamily(_StatFamily):
 class _SimpleRegressionFamily(_Family):
     def scorer(self, graph, cov):
         X = graph.scalar_values
-        Y = _zero_diagonal(cov.y[:, :, 0].copy())
+        Y = cov.y[:, :, 0]
         directed = graph.directed
         sxy = _pair_total(X * Y, directed)
         sxx = _pair_total(X * X, directed)
@@ -1113,8 +1049,7 @@ class _SimpleRegressionFamily(_Family):
         variance, block intercepts a_ql = Xbar_ql - b ybar_ql, and a single
         sigma2 normalized by the total weight."""
         X = graph.scalar_values
-        M = _offdiag_mask(graph.n)
-        Y = cov.y[:, :, 0] * M
+        Y = cov.y[:, :, 0]
         W, degen = _block_weights(tau, graph.n)
         sx = tau.T @ X @ tau
         sy = tau.T @ Y @ tau

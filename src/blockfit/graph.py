@@ -303,7 +303,7 @@ class EdgeCovariates:
     """
 
     p: int
-    y: np.ndarray = field(repr=False)  # (n, n, p), zero diagonal
+    y: np.ndarray = field(repr=False)  # (n, n, p), zero diagonal (checked)
     symmetric: bool = field(init=False, repr=False)  # y_ij == y_ji for every pair
     # y is an array made for these covariates, kept without a copy
     _owned: InitVar[bool] = False
@@ -317,6 +317,9 @@ class EdgeCovariates:
             raise GraphBuildError("covariates must have shape (n, n, p)")
         if not np.all(np.isfinite(arr)):
             raise GraphBuildError("non-finite covariate entry")
+        diag = arr[np.arange(arr.shape[0]), np.arange(arr.shape[0])]
+        _raise_first(diag != 0.0, lambda k: (
+            f"covariates must have a zero diagonal: y[{k},{k}] = {diag[k].tolist()}"))
         object.__setattr__(self, "y", _freeze(arr))
         object.__setattr__(self, "symmetric", bool(np.array_equal(arr, arr.transpose(1, 0, 2))))
 

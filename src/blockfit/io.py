@@ -45,7 +45,7 @@ from io import StringIO
 
 import numpy as np
 
-from . import families
+from . import families, predict
 from .engine import FitResult, MixtureParams, VariationalPosterior
 from .errors import BlockfitError, InputFormatError
 from .families import FamilySpec
@@ -356,9 +356,6 @@ def write_selection_table(path, result: SelectionResult, fmt="csv"):
         writer.writerows(rows)
 
 
-_PAIR_CHUNK = 1 << 16  # node pairs formatted per write
-
-
 def _floats(a):
     return np.asarray(a, dtype=float).tolist()
 
@@ -368,18 +365,23 @@ def write_prediction_csv(fh, report, directed):
 
     Values are written as ``repr(float)``, which never needs quoting.  Edge
     rows cover the pairs i < j (every i != j when directed) in row-major
-    order.
+    order.  They are written one row block of the report at a time, from
+    the graph's rows and the report's predicted rows, so no (n, n) array is
+    built.
     """
     n = report.observed_degrees.size
     fh.write("record,i,j,observed,predicted\n")
     fh.writelines(map("degree,{},,{!r},{!r}\n".format, range(n),
                       _floats(report.observed_degrees), _floats(report.predicted_degrees)))
-    iu, ju = np.nonzero(~np.eye(n, dtype=bool)) if directed else np.triu_indices(n, 1)
-    for s in range(0, iu.size, _PAIR_CHUNK):
-        i, j = iu[s:s + _PAIR_CHUNK], ju[s:s + _PAIR_CHUNK]
-        fh.writelines(map("edge,{},{},{!r},{!r}\n".format, i.tolist(), j.tolist(),
-                          _floats(report.observed_edges[i, j]),
-                          _floats(report.predicted_edges[i, j])))
+    cols = np.arange(n)
+    names = np.array([str(k) for k in range(n)], dtype=object)  # each index formatted once
+    for rows in predict._row_blocks(n):
+        keep = cols != cols[rows, None] if directed else cols > cols[rows, None]
+        r, j = np.nonzero(keep)
+        fh.writelines(map("edge,{},{},{!r},{!r}\n".format,
+                          names[r + rows.start].tolist(), names[j].tolist(),
+                          _floats(report.graph.scalar_rows(rows)[keep]),
+                          _floats(report.predicted_rows(rows)[keep])))
     fh.write(f"r2,degree,,{float(report.r2_degrees)!r},\n")
     fh.write(f"r2,edge,,{float(report.r2_edges)!r},\n")
 

@@ -209,6 +209,54 @@ def test_cli_error_exit_codes(tmp_path, two_block_graph):
     assert main(["predict", "--fit", str(broken), "--edges", str(edges)]) == 3
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["fit", "--q", "0"], 2, "--q must be at least 1"),
+    (["select", "--qmin", "0"], 2, "--qmin must be at least 1"),
+    (["select", "--qmin", "3", "--qmax", "2"], 2, "--qmin 3 exceeds --qmax 2"),
+    (["fit", "--q", "50"], 3, "exceeds the graph's 30 nodes"),
+    (["fit", "--q", "2", "--init", "file", "--init-file", "{short}"], 3, "expected 30 labels, got 3"),
+    (["fit", "--q", "2", "--init", "file", "--init-file", "{frac}"], 3, "must be integers"),
+    (["fit", "--q", "2", "--init", "file", "--init-file", "{wide}"], 3, "must lie in 0..1"),
+    (["fit", "--q", "2", "--init", "file", "--init-file", "{empty}"], 3, "expected 30 labels, got 0"),
+])
+def test_cli_bad_q_and_label_files(tmp_path, two_block_graph, capsys, argv, code, message):
+    """Each bad value exits with its code and one ``blockfit:`` line, no traceback."""
+    _, edges = two_block_graph
+    files = {"short": "0,1,0\n", "frac": ",".join(["0"] * 29 + ["1.5"]) + "\n",
+             "wide": ",".join(["0"] * 29 + ["5"]) + "\n", "empty": ""}
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    argv = [a.format(**{k: tmp_path / f"{k}.csv" for k in files}) for a in argv]
+    capsys.readouterr()
+    assert main(argv + ["--edges", str(edges), "--restarts", "1"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("blockfit: ") and err.count("\n") == 1 and message in err
+
+
+def test_cli_usage_errors_come_before_reading_files(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["fit", "--edges", missing, "--q", "0"]) == 2
+    assert main(["select", "--edges", missing, "--qmin", "2", "--qmax", "1"]) == 2
+
+
+def test_cli_fit_from_a_label_file_matches_the_library(tmp_path):
+    params = MixtureParams(alpha=np.array([0.4, 0.6]),
+                           theta=PoissonParams(lam=np.array([[5.0, 0.5], [0.5, 2.0]])))
+    g, labels = bf.sample_graph(params, 30, False, POISSON, seed=3)
+    edges, init = tmp_path / "edges.csv", tmp_path / "labels.csv"
+    write_edges_csv(edges, g)
+    init.write_text("\n".join(str(z) for z in labels) + "\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--edges", str(edges), "--q", "2", "--init", "file",
+                 "--init-file", str(init), "--restarts", "1", "--seed", "0",
+                 "--out", str(out)]) == 0
+    got, _, _ = read_fit_json(out)
+    want = bf.fit(g, POISSON, 2, seed=0, init=labels, restarts=1)
+    assert want.diagnostics["init"] == "given"
+    assert got.bound_trajectory[-1] == want.bound_trajectory[-1]
+    assert np.array_equal(got.map_assignment, want.map_assignment)
+
+
 def test_cli_fit_with_covariates_and_report_effect(tmp_path, capsys):
     rng = np.random.default_rng(5)
     n = 25
@@ -376,7 +424,7 @@ def test_prediction_csv_bytes_match_the_row_loop(directed, monkeypatch):
                            theta=PoissonParams(lam=np.array([[5.0, 0.3], [0.7, 2.0]])))
     g, _ = bf.sample_graph(params, 9, directed, POISSON, seed=3)
     report = prediction_report(bf.fit(g, POISSON, 2, seed=0, restarts=1), g)
-    monkeypatch.setattr(bio, "_PAIR_CHUNK", 5)  # several chunks, one cut mid-row
+    monkeypatch.setattr("blockfit.predict._BLOCK", 20)  # several row blocks of 2 rows
     got, want = pyio.StringIO(), pyio.StringIO()
     bio.write_prediction_csv(got, report, directed)
     _loop_prediction_csv(want, report, directed)

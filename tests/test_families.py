@@ -500,3 +500,28 @@ def test_undirected_fits_refuse_asymmetric_covariates():
     fr = bf.fit(gd, PRMH, 2, EdgeCovariates.from_matrix(y, directed=True), restarts=1, seed=0)
     assert np.isfinite(fr.bound)
     assert bf.fit(gd, PRMH, 2, direct, restarts=1, seed=0).bound == fr.bound
+
+
+@pytest.mark.parametrize("kind, p, directed, bound, iterations", [
+    ("simplereg", 1, False, "-0x1.cc134270b4e02p+8", 2),
+    ("simplereg", 1, True, "-0x1.84001607798eep+9", 2),
+    ("linreg", 2, False, "-0x1.23bacebf7ccf8p+9", 18),
+    ("linreg", 2, True, "-0x1.fad47023b0a41p+9", 2),
+])
+def test_regression_fits_read_the_covariates_zero_diagonal(kind, p, directed, bound, iterations):
+    """The covariates' diagonal is zero by construction, so simplereg and
+    linreg use y as it is.  These bounds are the ones the fits gave when
+    the families zeroed the diagonal again themselves, bit for bit."""
+    rng = np.random.default_rng(7)
+    n = 24
+    z = np.arange(n) % 2
+    y = rng.normal(0, 1, (n, n, p))
+    X = rng.normal(0, 1, (n, n)) + 2.0 * (z[:, None] == z[None, :]) + y.sum(axis=2)
+    if not directed:
+        y = (y + y.transpose(1, 0, 2)) / 2
+        X = np.triu(X, 1)
+        X = X + X.T
+    g = ValuedGraph.from_matrix(X, directed, value_kind="real")
+    cov = EdgeCovariates.from_matrix(y, directed)
+    fr = bf.fit(g, FamilySpec(kind, covariate_dim=p), 2, cov, seed=0, restarts=2)
+    assert (fr.bound.hex(), fr.iterations) == (bound, iterations)

@@ -336,3 +336,12 @@ def test_ways_in_that_make_their_own_array_copy_it_no_more():
             tracemalloc.stop()
         assert one <= peak < 1.5 * one, way
         del kept
+
+
+def test_covariates_refuse_a_nonzero_diagonal():
+    y = np.zeros((4, 4, 2))
+    y[2, 2, 1] = 0.5
+    with pytest.raises(GraphBuildError, match=r"zero diagonal: y\[2,2\] = \[0.0, 0.5\]"):
+        EdgeCovariates(p=2, y=y)
+    y[2, 2, 1] = 0.0
+    assert EdgeCovariates(p=2, y=y).p == 2

@@ -217,3 +217,49 @@ def test_pair_r2_keeps_precision_on_a_mostly_zero_graph():
     ss_res = math.fsum((x - xh) ** 2)
     want = 1.0 - ss_res / float(ss_tot)
     assert _pair_r_squared(g, Xhat + Xhat.T) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("kind", ["poisson-prmi", "linreg", "simplereg"])
+def test_covariate_predictions_match_the_loop_over_blocks(kind, directed):
+    """X_hat_ij = sum_ql tau_iq tau_jl E[X_ij | q, l], by loops, for the
+    families whose block means depend on the covariates."""
+    from blockfit.families import LinearRegressionParams, SimpleRegressionParams
+
+    rng = np.random.default_rng(4)
+    n, Q, p = 12, 3, 2 if kind != "simplereg" else 1
+    y = rng.normal(0.0, 0.5, (n, n, p))
+    if not directed:
+        y = (y + y.transpose(1, 0, 2)) / 2
+    cov = EdgeCovariates.from_matrix(y, directed)
+    beta = rng.normal(0.0, 0.5, (Q, Q, p))
+    if kind == "poisson-prmi":
+        params = PoissonRegParams(lam=rng.uniform(0.5, 4.0, (Q, Q)), beta=beta, shared=False)
+
+        def mean(q, l, i, j):
+            return params.lam[q, l] * math.exp(params.beta[q, l] @ cov.y[i, j])
+    elif kind == "linreg":
+        params = LinearRegressionParams(beta=beta, sigma2=np.ones((Q, Q)))
+
+        def mean(q, l, i, j):
+            return params.beta[q, l] @ cov.y[i, j]
+    else:
+        params = SimpleRegressionParams(intercept=rng.normal(0.0, 1.0, (Q, Q)), slope=-0.7,
+                                        sigma2=1.0)
+
+        def mean(q, l, i, j):
+            return params.intercept[q, l] + params.slope * cov.y[i, j, 0]
+    spec = FamilySpec(kind, covariate_dim=p)
+    g = ValuedGraph.from_matrix(np.zeros((n, n)), directed,
+                                value_kind="count" if kind == "poisson-prmi" else "real")
+    tau = rng.dirichlet(np.ones(Q), size=n)
+    got = predict_edges(make_fit(MixtureParams(alpha=np.full(Q, 1 / Q), theta=params), tau, spec),
+                        g, cov, spec=spec)
+    want = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                want[i, j] = sum(tau[i, q] * tau[j, l] * mean(q, l, i, j)
+                                 for q in range(Q) for l in range(Q))
+    assert np.all(np.diag(got) == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

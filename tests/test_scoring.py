@@ -241,14 +241,6 @@ def test_scores_match_the_scalar_log_density(kind, directed, n, Q, seed):
     got = _softmax_rows(log_alpha + ops.node_scores(tau))
     assert np.max(np.abs(got - _softmax_rows(log_alpha + oracle.node_scores(tau)))) <= 1e-12
 
-    # row-at-a-time scores stay equal to node_scores as rows change
-    state = ops.gs_state(tau.copy())
-    for i in rng.permutation(n)[: max(1, n // 2)]:
-        state.set_row(i, rng.dirichlet(np.ones(Q)))
-    D = ops.node_scores(state.tau)
-    for i in range(n):
-        np.testing.assert_allclose(state.row_score(i), D[i], rtol=1e-12, atol=1e-12)
-
     # the proposal is an ascent direction: grad J . (P - tau) >= 0
     D = ops.node_scores(tau)
     slope = (log_alpha + D - np.log(tau)) * (got - tau)
@@ -382,15 +374,6 @@ def test_csr_statistics_agree_with_the_dense_array(kind, directed, n, Q, seed):
     if kind == "bernoulli":
         mean = np.clip(mean, PROB_FLOOR, 1.0 - PROB_FLOOR)
     assert np.max(np.abs(got - mean)) <= 1e-9 * max(1e-300, np.max(np.abs(mean)))
-
-    # row-at-a-time scores on the CSR statistic stay equal to node_scores
-    state = ops.gs_state(tau.copy())
-    for i in rng.permutation(n)[: n // 2]:
-        state.set_row(i, rng.dirichlet(np.ones(Q)))
-    D = ops.node_scores(state.tau)
-    for i in range(n):
-        np.testing.assert_allclose(state.row_score(i), D[i], rtol=1e-12,
-                                   atol=1e-12 * max(1.0, np.max(np.abs(D))))
 
 
 # ---------------------------------------------------------------------------

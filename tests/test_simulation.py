@@ -142,3 +142,66 @@ def test_run_experiment_refuses_a_family_the_grid_cannot_fit(monkeypatch, kind, 
     for mode in ("estimation", "selection"):
         with pytest.raises(bf.FamilyError, match=repr(kind)):
             run_experiment(config, FamilySpec(kind, **extra), mode=mode)
+
+
+def _planted(kind, rng, n):
+    """(spec, true block parameters, covariates or None, tolerance) for a
+    two-class graph of ``kind``; the blocks obey the undirected symmetry
+    (bigauss: (l, q) holds the swapped couple of (q, l))."""
+    from blockfit import families as fm
+    from blockfit.graph import EdgeCovariates
+
+    y = rng.normal(0.0, 0.5, (n, n, 2))
+    cov2 = EdgeCovariates.from_matrix((y + y.transpose(1, 0, 2)) / 2, directed=False)
+    cov1 = EdgeCovariates.from_matrix(cov2.y[:, :, :1], directed=False)
+    if kind == "multinomial":
+        probs = np.array([[[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]],
+                          [[0.1, 0.3, 0.6], [0.2, 0.6, 0.2]]])
+        return FamilySpec(kind, num_labels=3), fm.MultinomialParams(probs), None, 0.05
+    if kind == "gaussian":
+        return (FamilySpec(kind), fm.GaussianParams(mu=np.array([[2.0, -1.0], [-1.0, 0.5]]),
+                                                    sigma2=np.array([[0.5, 1.0], [1.0, 0.8]])),
+                None, 0.1)
+    if kind == "bigauss":
+        mu = np.array([[[1.0, 1.0], [0.5, -0.5]], [[-0.5, 0.5], [-1.0, -1.0]]])
+        c = np.array([[[[1.0, 0.3], [0.3, 1.0]], [[1.0, 0.2], [0.2, 0.5]]],
+                      [[[0.5, 0.2], [0.2, 1.0]], [[0.8, -0.3], [-0.3, 0.8]]]])
+        return FamilySpec(kind), fm.BivariateGaussianParams(mu=mu, cov=c), None, 0.1
+    if kind == "linreg":
+        beta = np.array([[[1.0, -0.5], [0.2, 0.8]], [[0.2, 0.8], [-1.0, 0.3]]])
+        return (FamilySpec(kind, covariate_dim=2),
+                fm.LinearRegressionParams(beta=beta, sigma2=np.array([[0.3, 0.5], [0.5, 0.2]])),
+                cov2, 0.1)
+    if kind == "simplereg":
+        return (FamilySpec(kind),
+                fm.SimpleRegressionParams(intercept=np.array([[2.0, -1.0], [-1.0, 0.5]]),
+                                          slope=1.5, sigma2=0.4),
+                cov1, 0.1)
+    assert kind == "poisson-prmi"
+    beta = np.array([[[0.5, -0.3], [-0.8, 0.2]], [[-0.8, 0.2], [0.3, 0.6]]])
+    return (FamilySpec(kind, covariate_dim=2),
+            fm.PoissonRegParams(lam=np.array([[4.0, 1.0], [1.0, 2.5]]), beta=beta, shared=False),
+            cov2, 0.15)
+
+
+@pytest.mark.parametrize("kind, directed", [
+    ("multinomial", False), ("multinomial", True), ("gaussian", False), ("gaussian", True),
+    ("bigauss", False), ("linreg", False), ("linreg", True), ("simplereg", False),
+    ("simplereg", True), ("poisson-prmi", False), ("poisson-prmi", True)])
+def test_sample_graph_draws_a_valid_graph_whose_hard_label_mle_is_the_truth(kind, directed):
+    """Every family's sampler gives a graph check_graph accepts, and the
+    M-step at the planted labels lands within ``tol`` (absolute) of each
+    true parameter; bigauss values are undirected only."""
+    from blockfit import families as fm
+
+    n = 150
+    spec, theta, cov, tol = _planted(kind, np.random.default_rng(0), n)
+    params = MixtureParams(alpha=np.array([0.4, 0.6]), theta=theta)
+    g, z = sample_graph(params, n, directed, spec, seed=1, cov=cov)
+    fm.get_family(spec).check_graph(g, cov)
+    assert g.directed == directed and g.value_kind == fm.FAMILIES[kind].value_kind
+    tau = np.eye(2)[z]
+    est = bf.weighted_mle(spec, tau, g, cov)
+    for name, want in theta.arrays().items():
+        got = np.asarray(getattr(est, name))
+        assert np.max(np.abs(got - want)) <= tol, (name, got, want)
