@@ -118,6 +118,8 @@ def cmd_select(args):
     if args.qmin > args.qmax:
         raise _UsageError(f"--qmin {args.qmin} exceeds --qmax {args.qmax}")
     g, cov, spec = _load_inputs(args)
+    if args.qmax > g.n:
+        raise InputFormatError(f"--qmax {args.qmax} exceeds the graph's {g.n} nodes")
     result = select_q(g, spec, range(args.qmin, args.qmax + 1), cov,
                       fit_options=_fit_options(args, g.n, args.qmax), seed=args.seed,
                       edge_count=args.edge_count_convention)
@@ -250,7 +252,9 @@ def build_parser():
     p_sel = sub.add_parser("select", help="ICL sweep over a Q range")
     _add_common_fit_flags(p_sel)
     p_sel.add_argument("--qmin", type=int, default=1)
-    p_sel.add_argument("--qmax", type=int, default=10)
+    p_sel.add_argument("--qmax", type=int, default=10,
+                       help="largest Q tried, at most the node count (default 10: a graph "
+                            "with fewer than 10 nodes needs an explicit --qmax)")
     p_sel.add_argument("--edge-count-convention", choices=("ordered", "unordered"),
                        default="ordered")
     p_sel.add_argument("--out", help="output table CSV/JSON (default selection.csv)")

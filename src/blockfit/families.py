@@ -15,15 +15,18 @@ Every family answers three questions for the fitting engine:
   graph's CSR view as their statistic when it has one, which makes that
   product and every block sum O(nnz Q);
 * estimation -- the maximizer of the weighted log-likelihood
-  sum_{i != j} tau_iq tau_jl log f_ql(X_ij).  The six exponential families
-  with block-free statistics (Poisson, Bernoulli, multinomial, Gaussian,
-  bigauss, linreg) derive from :class:`_StatFamily`: each lists its n x n
-  statistics S_k once, and the same list feeds the scorer (with the
-  family's coefficients) and the M-step, which maps the block sums
-  T_k = tau^T S_k tau and the block weights to the parameters.  The Poisson
-  regressions run Newton on the weighted GLM objective, from covariate
-  channels that each fit prepares once (``mstep_workspace``), and simplereg
-  solves its shared slope from sums that its scorer folds into ``fixed``;
+  sum_{i != j} tau_iq tau_jl log f_ql(X_ij).  One driver,
+  :meth:`_Family.weighted_mle`, serves every family: it takes the block
+  weights, asks the family for its estimate, freezes the degenerate blocks
+  (below), makes undirected estimates symmetric and builds the record.
+  The seven families with block-free statistics (Poisson, Bernoulli,
+  multinomial, Gaussian, bigauss, linreg, simplereg) derive from
+  :class:`_StatFamily`: each lists its n x n statistics S_k once, and the
+  same list feeds the scorer (with the family's coefficients) and the
+  estimate, which maps the block sums T_k = tau^T S_k tau and the block
+  weights to the parameters.  The Poisson regressions run Newton on the
+  weighted GLM objective, from covariate channels that each fit prepares
+  once (``mstep_workspace``);
 * bookkeeping -- sampling and block means per family; the rest comes from
   two tables.  The registry :data:`FAMILIES` maps each kind to its class,
   the value kind of its graphs (read by the CLI, sampling and
@@ -34,10 +37,11 @@ Every family answers three questions for the fitting engine:
   trip and :func:`param_count` from the same row.
 
 Blocks whose total weight falls below ``DEGENERATE_REL_TOL`` times the
-overall weight keep their previous parameter value (without one, the
-estimate from the statistics pooled over all blocks) and are flagged in the
-``degenerate`` mask so a temporarily empty class cannot poison the fit
-with NaNs.
+overall weight are flagged in the ``degenerate`` mask, and every block-wise
+array keeps its previous value there (without one, the family's estimate
+pooled over all blocks: for the Poisson regressions the rate of all blocks
+together with beta = 0), so a temporarily empty class cannot poison the
+fit with NaNs.  Shared arrays are estimated from the other blocks.
 """
 
 from __future__ import annotations
@@ -118,11 +122,6 @@ class FamilySpec:
     @property
     def uses_covariates(self) -> bool:
         return FAMILIES[self.kind].covariates
-
-    @property
-    def shared_params(self) -> str | None:
-        """Names of the parameters shared across all (q, l) blocks."""
-        return ", ".join(a.name for a in FAMILIES[self.kind].params if not a.blockwise) or None
 
 
 def _spec_sizes(spec: FamilySpec) -> dict:
@@ -244,7 +243,7 @@ class BlockParams:
         """The same parameters with classes relabeled: block (q, l) of the
         result is block (perm[q], perm[l]) of this record."""
         ix = np.ix_(perm, perm)
-        blockwise = {a.name for a in FAMILIES[self.kind].params if a.blockwise}
+        blockwise = FAMILIES[self.kind].blockwise
         values = {k: v[ix] if k in blockwise else v for k, v in self.arrays().items()}
         return BlockParams(self.kind, None if self.degenerate is None else self.degenerate[ix],
                            **values)
@@ -525,6 +524,7 @@ class _Family:
     def __init__(self, spec: FamilySpec):
         self.spec = spec
         self.kind = spec.kind
+        self.blockwise = FAMILIES[spec.kind].blockwise
 
     # -- validation ---------------------------------------------------------
 
@@ -559,8 +559,31 @@ class _Family:
         or None; never kept past the fit."""
         return None
 
-    def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
+    def block_estimate(self, tau, graph, cov, W, degen, prev, workspace):
+        """(est, pooled): the parameter arrays by name, right on the blocks
+        that ``degen`` does not flag, and a callable returning the arrays
+        estimated from all blocks pooled, the freeze value without ``prev``."""
         raise NotImplementedError
+
+    def finish(self, est, directed):
+        """What follows the freeze: undirected block-wise estimates made
+        symmetric."""
+        if directed:
+            return est
+        return {k: _symmetrize(v) if k in self.blockwise else v for k, v in est.items()}
+
+    def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
+        """The M-step of every family: :meth:`block_estimate` from the block
+        weights; on the degenerate blocks each block-wise array frozen at
+        ``prev``'s value, or at the pooled one without ``prev``; then
+        :meth:`finish` and the record."""
+        W, degen = _block_weights(tau, graph.n)
+        est, pooled = self.block_estimate(tau, graph, cov, W, degen, prev, workspace)
+        if np.any(degen):
+            src = pooled() if prev is None else prev.arrays()
+            est = {k: _frozen(v, degen, src[k]) if k in self.blockwise else v
+                   for k, v in est.items()}
+        return BlockParams(self.kind, degen, **self.finish(est, graph.directed))
 
     # -- sampling / prediction ----------------------------------------------
 
@@ -592,10 +615,8 @@ class _StatFamily(_Family):
       for every block (-log X!); only the scorer needs it;
     * :meth:`coefficients` -- (the C_k, the (Q, Q) mask or None) of a record;
     * :meth:`estimate` -- the parameter arrays by name from (T, W) on the
-      blocks that ``degen`` does not flag.
-
-    :meth:`weighted_mle` freezes the degenerate blocks, then :meth:`finish`
-    symmetrizes undirected estimates.
+      blocks that ``degen`` does not flag; the pooled estimate is the same
+      map of the sums over all blocks.
     """
 
     def statistics(self, graph, cov):
@@ -610,9 +631,14 @@ class _StatFamily(_Family):
     def estimate(self, T, W, degen):
         raise NotImplementedError
 
-    def finish(self, est, directed):
-        """What follows the freeze: undirected estimates made symmetric."""
-        return est if directed else {k: _symmetrize(v) for k, v in est.items()}
+    def block_estimate(self, tau, graph, cov, W, degen, prev, workspace):
+        T = [_block_sums(S, tau) for S in self.statistics(graph, cov)]
+
+        def pooled():
+            return self.estimate([t.sum(keepdims=True) for t in T], W.sum(keepdims=True),
+                                 np.zeros((1, 1), bool))
+
+        return self.estimate(T, W, degen), pooled
 
     def scorer(self, graph, cov):
         stats = self.statistics(graph, cov)
@@ -624,20 +650,6 @@ class _StatFamily(_Family):
             return DecomposedScores(stats, coeffs, directed, mask=mask, fixed=fixed)
 
         return make
-
-    def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
-        W, degen = _block_weights(tau, graph.n)
-        T = [_block_sums(S, tau) for S in self.statistics(graph, cov)]
-        est = self.estimate(T, W, degen)
-        if np.any(degen):
-            if prev is not None:
-                src = prev.arrays()
-            else:
-                # the estimate from the sums pooled over all blocks
-                pooled = [t.sum(keepdims=True) for t in T]
-                src = self.estimate(pooled, W.sum(keepdims=True), np.zeros((1, 1), bool))
-            est = {k: _frozen(v, degen, src[k]) for k, v in est.items()}
-        return BlockParams(self.kind, degen, **self.finish(est, graph.directed))
 
 
 def _blockify(a, z):
@@ -729,17 +741,46 @@ class _PoissonRegFamily(_Family):
     def mstep_workspace(self, graph, cov):
         return _GLMWorkspace(graph, cov, self.shared)
 
-    def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
-        warm = None
-        if prev is not None:
-            warm = (prev.lam, prev.beta)
-        lam, beta, degen = _poisson_regression_fit(
-            tau, graph, cov, shared=self.shared, warm_start=warm, workspace=workspace)
-        if not graph.directed:
-            lam = _symmetrize(lam)
-            if not self.shared:
-                beta = _symmetrize(beta)
-        return PoissonRegParams(lam=lam, beta=beta, shared=self.shared, degenerate=degen)
+    def block_estimate(self, tau, graph, cov, W, degen, prev, workspace):
+        """Newton from ``prev`` (else from beta = 0): PRMH fits one beta
+        jointly across blocks with per-block intercepts log lam_ql, PRMI
+        each block on its own.  ``workspace`` is the fit's
+        :class:`_GLMWorkspace`; without one, one for this call alone is
+        built.  The pooled value is the rate of all blocks with beta = 0."""
+        ws = _GLMWorkspace(graph, cov, self.shared) if workspace is None else workspace
+        X = graph.scalar_values
+        Q = tau.shape[1]
+        A = tau.T @ X @ tau
+
+        if self.shared:
+            beta0 = np.zeros(cov.p) if prev is None else prev.beta
+            beta, B = _newton_profile(A.ravel(), ws.xy, partial(ws.sums, tau, tau), beta0,
+                                      "shared-beta fit")
+            B = B.reshape(Q, Q)
+            lam = np.where(B > 0, A / np.maximum(B, 1e-300), 0.0)
+        else:
+            beta = np.zeros((Q, Q, cov.p)) if prev is None else np.array(prev.beta)
+            lam = np.zeros((Q, Q))
+            C = np.matmul(tau.T, ws.xy @ tau)  # (p, Q, Q): tau_q^T (X * Y_d) tau_l
+            pairs = [(q, l) for q in range(Q) for l in range(Q)
+                     if graph.directed or q <= l]
+            for q, l in pairs:
+                if degen[q, l]:
+                    continue
+                sums_at = partial(ws.sums, tau[:, q:q + 1], tau[:, l:l + 1])
+                b, B = _newton_profile(A[q, l].reshape(1), C[:, q, l], sums_at, beta[q, l],
+                                       f"block ({q},{l})")
+                B = B[0]
+                beta[q, l] = b
+                lam[q, l] = A[q, l] / B if B > 0 else 0.0
+                if not graph.directed and q != l:
+                    beta[l, q] = b
+                    lam[l, q] = lam[q, l]
+
+        def pooled():
+            return {"lam": A.sum() / max(W.sum(), 1e-300), "beta": 0.0}
+
+        return {"lam": lam, "beta": beta}, pooled
 
     def sample_matrix(self, params, z, rng, cov, directed):
         if self.shared:
@@ -1020,14 +1061,19 @@ class _LinearRegressionFamily(_StatFamily):
         return _without_diagonal(out, rows)
 
 
-class _SimpleRegressionFamily(_Family):
-    def scorer(self, graph, cov):
+class _SimpleRegressionFamily(_StatFamily):
+    """Statistics X, y, X y, y^2 and X^2.  The scorer keeps only X and y as
+    n x n statistics and folds the shared-slope terms into ``fixed``."""
+
+    def statistics(self, graph, cov):
         X = graph.scalar_values
         Y = cov.y[:, :, 0]
+        return [X, Y, X * Y, Y * Y, X * X]
+
+    def scorer(self, graph, cov):
+        X, Y, XY, YY, XX = self.statistics(graph, cov)
         directed = graph.directed
-        sxy = _pair_total(X * Y, directed)
-        sxx = _pair_total(X * X, directed)
-        syy = _pair_total(Y * Y, directed)
+        sxy, syy, sxx = (_pair_total(S, directed) for S in (XY, YY, XX))
 
         def make(params):
             a, b, s2 = params.intercept, params.slope, params.sigma2
@@ -1044,18 +1090,11 @@ class _SimpleRegressionFamily(_Family):
         mean = float(params.intercept[q, l]) + params.slope * y0
         return float(-0.5 * (x - mean) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2))
 
-    def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
+    def estimate(self, T, W, degen):
         """Common slope b as pooled weighted covariance over pooled weighted
         variance, block intercepts a_ql = Xbar_ql - b ybar_ql, and a single
         sigma2 normalized by the total weight."""
-        X = graph.scalar_values
-        Y = cov.y[:, :, 0]
-        W, degen = _block_weights(tau, graph.n)
-        sx = tau.T @ X @ tau
-        sy = tau.T @ Y @ tau
-        sxy = tau.T @ (X * Y) @ tau
-        syy = tau.T @ (Y * Y) @ tau
-        sxx = tau.T @ (X * X) @ tau
+        sx, sy, sxy, syy, sxx = T
         ok = ~degen
         xbar = _weighted_ratio(sx, W, degen)
         ybar = _weighted_ratio(sy, W, degen)
@@ -1070,12 +1109,7 @@ class _SimpleRegressionFamily(_Family):
         rss = (sxx - 2 * a * sx - 2 * b * sxy + a * a * W
                + 2 * a * b * sy + b * b * syy)
         sigma2 = max(np.where(ok, rss, 0.0).sum() / max(W.sum(), 1e-300), VAR_FLOOR)
-        if np.any(degen):
-            a = _frozen(a, degen, 0.0 if prev is None else prev.intercept)
-        if not graph.directed:
-            a = _symmetrize(a)
-        return SimpleRegressionParams(intercept=a, slope=float(b), sigma2=float(sigma2),
-                                      degenerate=degen)
+        return {"intercept": a, "slope": b, "sigma2": sigma2}
 
     def sample_matrix(self, params, z, rng, cov, directed):
         mean = _blockify(params.intercept, z) + params.slope * cov.y[:, :, 0]
@@ -1100,6 +1134,11 @@ class FamilyEntry(NamedTuple):
     covariates: bool      # needs edge covariates
     params: tuple         # ParamArray rows, in JSON order
     flags: tuple = ()     # (name, value) constants of the record, also in JSON
+
+    @property
+    def blockwise(self) -> set:
+        """Names of the arrays with leading (Q, Q) axes."""
+        return {a.name for a in self.params if a.blockwise}
 
 
 _RATES = ParamArray("lam", True, (), _nonnegative, "Poisson rates")
@@ -1280,58 +1319,6 @@ class _GLMWorkspace:
         return T[0], T[1:1 + p].T.copy(), hessian
 
 
-def _poisson_regression_fit(tau, graph, cov, shared, warm_start=None, workspace=None):
-    """Weighted Poisson-regression M-step.
-
-    Returns (lam, beta, degenerate_mask).  ``shared=True`` fits one beta
-    jointly across blocks with per-block intercepts log lam_ql;
-    ``shared=False`` fits each block independently.  ``workspace`` is the
-    fit's :class:`_GLMWorkspace`; without one, a workspace for this call
-    alone is built.
-    """
-    ws = _GLMWorkspace(graph, cov, shared) if workspace is None else workspace
-    X = graph.scalar_values
-    n, p = graph.n, cov.p
-    Q = tau.shape[1]
-    W, degen = _block_weights(tau, n)
-    A = tau.T @ X @ tau
-
-    if shared:
-        beta0 = np.zeros(p) if warm_start is None else np.asarray(warm_start[1], dtype=float)
-        beta, B = _newton_profile(A.ravel(), ws.xy, partial(ws.sums, tau, tau), beta0,
-                                  "shared-beta fit")
-        B = B.reshape(Q, Q)
-        lam = np.where(B > 0, A / np.maximum(B, 1e-300), 0.0)
-    else:
-        beta = np.zeros((Q, Q, p)) if warm_start is None else np.array(warm_start[1], dtype=float)
-        lam = np.zeros((Q, Q))
-        C = np.matmul(tau.T, ws.xy @ tau)  # (p, Q, Q): tau_q^T (X * Y_d) tau_l
-        pairs = [(q, l) for q in range(Q) for l in range(Q)
-                 if graph.directed or q <= l]
-        for q, l in pairs:
-            if degen[q, l]:
-                continue
-            sums_at = partial(ws.sums, tau[:, q:q + 1], tau[:, l:l + 1])
-            b, B = _newton_profile(A[q, l].reshape(1), C[:, q, l], sums_at, beta[q, l],
-                                   f"block ({q},{l})")
-            B = B[0]
-            beta[q, l] = b
-            lam[q, l] = A[q, l] / B if B > 0 else 0.0
-            if not graph.directed and q != l:
-                beta[l, q] = b
-                lam[l, q] = lam[q, l]
-
-    if np.any(degen):
-        if warm_start is not None:
-            lam = _frozen(lam, degen, warm_start[0])
-            if not shared:
-                beta = _frozen(beta, degen, warm_start[1])
-        else:
-            pooled = A.sum() / max(W.sum(), 1e-300)
-            lam = np.where(degen, pooled, lam)
-    return lam, beta, degen
-
-
 # ---------------------------------------------------------------------------
 # Module-level operations (dispatch on the family spec)
 
@@ -1355,9 +1342,10 @@ def weighted_mle(spec: FamilySpec, tau, graph: ValuedGraph, cov: EdgeCovariates 
 
     ``tau`` is (n, Q); the weight of edge (i, j) in block (q, l) is
     tau[i, q] * tau[j, l].  Closed forms for the classical families, Newton
-    on the weighted GLM objective for the Poisson regressions.  Blocks with
-    vanishing weight keep ``prev``'s value (without ``prev``, a value pooled
-    over all blocks) and are flagged in the result's ``degenerate`` mask.
+    on the weighted GLM objective for the Poisson regressions.  On blocks
+    with vanishing weight, flagged in the result's ``degenerate`` mask, the
+    block-wise arrays keep ``prev``'s value (without ``prev``, a value
+    pooled over all blocks).
     ``workspace`` is what the family's ``mstep_workspace(graph, cov)`` built
     for this graph and covariates, reused across the M-steps of a fit;
     without it, the call builds what it needs.
@@ -1385,23 +1373,21 @@ def poisson_regression_mle(tau, graph: ValuedGraph, cov: EdgeCovariates,
         (block-specific intercepts log lam_ql); inhomogeneous fits each
         block independently.
     warm_start : (lam, beta), optional
-        Starting point; the returned solution never has lower weighted
-        log-likelihood than it.
+        Starting point, and the value of degenerate blocks; the returned
+        solution never has lower weighted log-likelihood than it.
 
     Returns
     -------
-    (lam, beta) : rates (Q, Q) and coefficients ((p,) or (Q, Q, p)).
+    (lam, beta) : rates (Q, Q) and coefficients ((p,) or (Q, Q, p)), as
+    :func:`weighted_mle` gives them for PRMH or PRMI.
     """
     if mode not in ("homogeneous", "inhomogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
-    tau = np.asarray(tau, dtype=float)
-    lam, beta, _ = _poisson_regression_fit(tau, graph, cov, shared=(mode == "homogeneous"),
-                                           warm_start=warm_start)
-    if not graph.directed:
-        lam = _symmetrize(lam)
-        if mode == "inhomogeneous":
-            beta = _symmetrize(beta)
-    return lam, beta
+    shared = mode == "homogeneous"
+    spec = FamilySpec("poisson-prmh" if shared else "poisson-prmi", covariate_dim=cov.p)
+    prev = None if warm_start is None else PoissonRegParams(*warm_start, shared=shared)
+    theta = weighted_mle(spec, tau, graph, cov, prev=prev)
+    return theta.lam, theta.beta
 
 
 def expfam_mle(sufficient_stat, grad_A, inverse_grad_A, tau, graph: ValuedGraph) -> np.ndarray:

@@ -95,8 +95,13 @@ def predict_edges(fit_result: FitResult, graph: ValuedGraph,
 
 def predict_degrees(fit_result: FitResult, graph: ValuedGraph,
                     cov: EdgeCovariates | None = None, spec=None) -> np.ndarray:
-    """K_hat_i = sum_{j != i} X_hat_ij (row sums of predict_edges)."""
-    return predict_edges(fit_result, graph, cov, spec=spec).sum(axis=1)
+    """K_hat_i = sum_{j != i} X_hat_ij (row sums of predict_edges), summed
+    one row block at a time, without the (n, n) X_hat."""
+    predicted_rows = _predictor(fit_result, graph, cov, spec)
+    khat = np.empty(graph.n)
+    for rows in _row_blocks(graph.n):
+        khat[rows] = predicted_rows(rows).sum(axis=1)
+    return khat
 
 
 def r_squared(observed, predicted) -> float:

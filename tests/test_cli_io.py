@@ -218,6 +218,7 @@ def test_cli_error_exit_codes(tmp_path, two_block_graph):
     (["fit", "--q", "2", "--init", "file", "--init-file", "{frac}"], 3, "must be integers"),
     (["fit", "--q", "2", "--init", "file", "--init-file", "{wide}"], 3, "must lie in 0..1"),
     (["fit", "--q", "2", "--init", "file", "--init-file", "{empty}"], 3, "expected 30 labels, got 0"),
+    (["select", "--qmin", "29", "--qmax", "31"], 3, "--qmax 31 exceeds the graph's 30 nodes"),
 ])
 def test_cli_bad_q_and_label_files(tmp_path, two_block_graph, capsys, argv, code, message):
     """Each bad value exits with its code and one ``blockfit:`` line, no traceback."""

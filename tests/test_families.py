@@ -161,6 +161,24 @@ def test_simple_regression_two_blocks_common_slope():
     assert params.sigma2 <= 1e-10
 
 
+def test_simple_regression_empty_blocks_without_prev_take_the_pooled_intercept():
+    # without prev, a degenerate block's intercept is the estimate from all
+    # blocks pooled: the one-class fit, whose tau sums the classes
+    rng = np.random.default_rng(15)
+    n = 8
+    g = diag_graph(2.0 + rng.normal(0, 1, (n, n)), kind="real")
+    cov = rand_cov(rng, n, 1)
+    tau = np.zeros((n, 3))
+    tau[:, :2] = ou.random_tau(rng, n, 2)  # class 3 is empty
+    spec = FamilySpec("simplereg")
+    params = bf.weighted_mle(spec, tau, g, cov)
+    pooled = bf.weighted_mle(spec, np.ones((n, 1)), g, cov).intercept[0, 0]
+    degen = params.degenerate
+    assert degen[2].all() and degen[:, 2].all() and not degen[:2, :2].any()
+    assert abs(pooled) > 1.0
+    assert params.intercept[degen] == pytest.approx(np.full(degen.sum(), pooled), rel=1e-9)
+
+
 def test_poisson_pm_mle_uniform_tau_and_loops():
     rng = np.random.default_rng(1)
     g = rand_graph(rng, 4)
@@ -385,6 +403,20 @@ def test_poisson_regression_gradient_and_monotonicity():
         assert ll_fit >= ll_warm - 1e-8
 
 
+@pytest.mark.parametrize("mode", ["homogeneous", "inhomogeneous"])
+def test_poisson_regression_mle_refuses_what_weighted_mle_refuses(mode):
+    rng = np.random.default_rng(16)
+    tau = hard_tau(np.arange(12) % 2, 2)
+    y = rng.normal(size=(12, 12, 1))
+    y[np.arange(12), np.arange(12)] = 0.0
+    g = rand_graph(rng, 12, directed=False)
+    with pytest.raises(FamilyError, match="symmetric covariates"):
+        bf.poisson_regression_mle(tau, g, EdgeCovariates(p=1, y=y), mode=mode)
+    real = diag_graph(rng.normal(size=(12, 12)), kind="real")
+    with pytest.raises(FamilyError, match="expects count values"):
+        bf.poisson_regression_mle(tau, real, EdgeCovariates.from_matrix(y, True), mode=mode)
+
+
 def test_prmh_homogeneous_recovers_shared_effect():
     rng = np.random.default_rng(12)
     n = 60
@@ -467,8 +499,6 @@ def test_family_spec_validation():
     assert FamilySpec("poisson-prmh").covariate_dim == 1
     assert FamilySpec("poisson-prmh").uses_covariates
     assert not FamilySpec("poisson").uses_covariates
-    assert "beta" in FamilySpec("poisson-prmh").shared_params
-    assert FamilySpec("poisson").shared_params is None
 
 
 def test_covariates_on_another_node_count_are_refused():

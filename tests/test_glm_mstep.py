@@ -19,9 +19,11 @@ from blockfit.families import (
     REG_GRAD_TOL,
     REG_MAX_ITER,
     REG_REL_TOL,
+    PoissonRegParams,
     _block_weights,
     _frozen,
     _offdiag_mask,
+    get_family,
 )
 from blockfit.graph import EdgeCovariates, ValuedGraph, build_graph
 
@@ -116,8 +118,9 @@ def _ref_glm_sums(left, right, Y, mask):
 
 
 def _ref_fit(tau, graph, cov, shared, warm_start=None, overflowed=None):
-    """(lam, beta, degenerate) as ``families._poisson_regression_fit`` gave
-    them; every refused trial point is appended to ``overflowed``."""
+    """(lam, beta, degenerate) as the Poisson-regression M-step gave them
+    before its undirected symmetrization; every refused trial point is
+    appended to ``overflowed``."""
     overflowed = [] if overflowed is None else overflowed
     X = graph.scalar_values
     Y = cov.y
@@ -203,6 +206,24 @@ def _warm(rng, Q, p, shared, beta_scale=0.5):
     return lam, beta
 
 
+def _mstep(tau, graph, cov, shared, warm_start=None):
+    """(lam, beta, degenerate) of the family's M-step, with ``prev`` built
+    from the warm start."""
+    spec = FamilySpec("poisson-prmh" if shared else "poisson-prmi", covariate_dim=cov.p)
+    prev = None if warm_start is None else PoissonRegParams(*warm_start, shared=shared)
+    theta = get_family(spec).weighted_mle(tau, graph, cov, prev=prev)
+    return theta.lam, theta.beta, theta.degenerate
+
+
+def _symmetrized(want, directed, shared):
+    """The reference as the M-step finishes it: undirected rates and PRMI
+    coefficients made symmetric."""
+    if isinstance(want, str) or directed:
+        return want
+    lam, beta = families._symmetrize(want[0]), want[1]
+    return (lam, beta if shared else families._symmetrize(beta)) + tuple(want[2:])
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -236,15 +257,11 @@ def test_mstep_matches_the_reference(shared, directed, p, rows, monkeypatch):
         g, cov, tau, rng = _instance(seed, int(8 + 3 * seed), p, 1 + seed % 3, directed)
         Q = tau.shape[1]
         for warm in (None, _warm(rng, Q, p, shared)):
-            want = _outcome(lambda: _ref_fit(tau, g, cov, shared, warm))
-            _assert_same(_outcome(lambda: families._poisson_regression_fit(
-                tau, g, cov, shared, warm)), want)
+            want = _symmetrized(_outcome(lambda: _ref_fit(tau, g, cov, shared, warm)),
+                                directed, shared)
+            _assert_same(_outcome(lambda: _mstep(tau, g, cov, shared, warm)), want)
             if not isinstance(want, str):
-                lam, beta, _ = want
-                if not directed:
-                    lam = families._symmetrize(lam)
-                    beta = beta if shared else families._symmetrize(beta)
-                want = (lam, beta)
+                want = want[:2]
             _assert_same(_outcome(lambda: bf.poisson_regression_mle(
                 tau, g, cov, mode=mode, warm_start=warm)), want)
 
@@ -258,8 +275,8 @@ def test_degenerate_blocks_match_the_reference(shared, directed):
         tau[:, -1] = 0.0  # the last class is empty
         tau /= tau.sum(axis=1, keepdims=True)
         for warm in (None, _warm(rng, Q, p, shared)):
-            want = _ref_fit(tau, g, cov, shared, warm)
-            got = families._poisson_regression_fit(tau, g, cov, shared, warm)
+            want = _symmetrized(_ref_fit(tau, g, cov, shared, warm), directed, shared)
+            got = _mstep(tau, g, cov, shared, warm)
             assert want[2][-1].all() and want[2][:, -1].all()
             _assert_same(got, want)
 
@@ -276,8 +293,7 @@ def test_overflowing_trial_steps_match_the_reference(shared):
         overflowed = []
         want = _outcome(lambda: _ref_fit(tau, g, cov, shared, warm, overflowed))
         refused += bool(overflowed)
-        _assert_same(_outcome(lambda: families._poisson_regression_fit(
-            tau, g, cov, shared, warm)), want)
+        _assert_same(_outcome(lambda: _mstep(tau, g, cov, shared, warm)), want)
     assert refused  # the case is exercised
 
 
@@ -290,9 +306,9 @@ def test_errors_match_the_reference():
     for seed, y_scale in draws:
         g, cov, tau, rng = _instance(300 + seed, 3, 2, 1, False, y_scale=y_scale)
         for warm in (None, _warm(rng, 1, 2, True)):
-            want = _outcome(lambda: _ref_fit(tau, g, cov, True, warm))
-            _assert_same(_outcome(lambda: families._poisson_regression_fit(
-                tau, g, cov, True, warm)), want)
+            want = _symmetrized(_outcome(lambda: _ref_fit(tau, g, cov, True, warm)),
+                                False, True)
+            _assert_same(_outcome(lambda: _mstep(tau, g, cov, True, warm)), want)
             if isinstance(want, str):
                 messages.add(want.split(" in ")[0])
     assert messages == {

@@ -304,6 +304,38 @@ def test_mstep_does_not_lower_the_bound_and_freezes_empty_blocks(kind, directed,
         assert np.array_equal(getattr(theta, arr.name)[degen], getattr(params, arr.name)[degen])
 
 
+@pytest.mark.parametrize("kind, directed", [(k, d) for k in FAMILY_KINDS for d in (False, True)
+                                             if not (d and k == "bigauss")])
+def test_mstep_freezes_the_blockwise_arrays_of_an_empty_class(kind, directed):
+    """With the last class empty, block-wise arrays keep prev's value on its
+    blocks, shared arrays are estimated from the other blocks, and
+    undirected block-wise arrays come out symmetric (bigauss: with the
+    couple swapped across the block index)."""
+    rng = np.random.default_rng(21)
+    n, Q = 10, 3
+    g, cov, spec, prev = _instance(kind, rng, n, Q, directed)
+    tau = np.zeros((n, Q))
+    tau[:, :-1] = rng.dirichlet(np.ones(Q - 1), size=n)
+    fam = get_family(spec)
+    theta = fam.weighted_mle(tau, g, cov, prev=prev)
+    fresh = fam.weighted_mle(tau, g, cov)
+    degen = theta.degenerate
+    assert degen[-1].all() and degen[:, -1].all() and not degen[:-1, :-1].any()
+    for arr in FAMILIES[kind].params:
+        got, old, new = (getattr(t, arr.name) for t in (theta, prev, fresh))
+        if arr.blockwise:
+            assert np.array_equal(got[degen], old[degen])
+            assert np.allclose(got[~degen], new[~degen], rtol=1e-6, atol=1e-9)
+        else:
+            assert not np.array_equal(got, old)
+            assert np.allclose(got, new, rtol=1e-6, atol=1e-9)
+        if arr.blockwise and not directed:
+            swapped = np.swapaxes(got, 0, 1)
+            if kind == "bigauss":
+                swapped = swapped[..., ::-1] if arr.name == "mu" else swapped[..., ::-1, ::-1]
+            assert np.array_equal(got, swapped)
+
+
 def test_bigauss_statistics_are_built_once_per_graph():
     rng = np.random.default_rng(4)
     g, cov, spec, params = _instance("bigauss", rng, 5, 2, False)

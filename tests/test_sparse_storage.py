@@ -10,7 +10,7 @@ import blockfit as bf
 from blockfit import FamilySpec, ValuedGraph, build_graph
 from blockfit.graph import CSR_MAX_DENSITY
 from blockfit.io import load_graph, write_fit_json
-from blockfit.predict import prediction_report
+from blockfit.predict import predict_degrees, prediction_report
 from blockfit.selection import icl
 
 POISSON = FamilySpec("poisson")
@@ -117,6 +117,25 @@ def test_the_sparse_chain_allocates_no_n_squared_array(tmp_path):
     assert _csr_only(g)
     assert all(np.isfinite(x).all() for x in summary)
     assert 0.0 < rep.r2_degrees <= 1.0
+
+
+def test_the_predicted_degrees_of_a_csr_only_graph_are_summed_in_row_blocks(tmp_path):
+    """predict_degrees on n = 2000 stays far below one n x n float64 array
+    (32 MB), builds no dense values and gives the report's degrees."""
+    n = 2000
+    path = tmp_path / "edges.csv"
+    _planted_edge_csv(path, n, 13, seed=6)
+    g = load_graph(path, n=n, fill=0)
+    fr = bf.fit(g, POISSON, 3, restarts=1, seed=0)
+    tracemalloc.start()
+    try:
+        khat = predict_degrees(fr, g, spec=POISSON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert _csr_only(g)
+    assert khat.tobytes() == prediction_report(fr, g, spec=POISSON).predicted_degrees.tobytes()
 
 
 def test_the_prediction_csv_of_a_csr_only_graph_is_written_in_row_blocks(tmp_path):
