@@ -19,7 +19,7 @@ from .errors import BlockfitError, GraphBuildError, InputFormatError, NumericalE
 from .families import FAMILIES, FAMILY_KINDS, FamilySpec
 from .predict import prediction_report
 from .selection import icl, select_q
-from .simulate import GridConfig, run_experiment
+from .simulate import MODES, GridConfig, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,22 +137,33 @@ def cmd_select(args):
     return EXIT_OK
 
 
+def _config_int(key, value):
+    """A grid-config integer as an int, None staying None; a bool or a
+    number with a fraction, which int() would take or truncate, is an input
+    error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputFormatError(f"bad grid config: {key} must be an integer, got {value!r}")
+    return None if value is None else int(value)
+
+
 def cmd_simulate(args):
     raw = bio.read_grid_config(args.config)
     try:
         config = GridConfig(
-            n=int(raw["n"]), a=float(raw["a"]),
+            n=_config_int("n", raw["n"]), a=float(raw["a"]),
             lam=float(raw.get("lambda", raw.get("lam"))),
             gamma_ratio=float(raw.get("gamma", raw.get("gamma_ratio"))),
-            q_star=int(raw.get("q_star", 3)), s=int(raw.get("s", 100)),
-            seed=None if raw.get("seed") is None else int(raw["seed"]),
+            q_star=_config_int("q_star", raw.get("q_star", 3)),
+            s=_config_int("s", raw.get("s", 100)),
+            seed=_config_int("seed", raw.get("seed")),
         )
+        q_max = _config_int("q_max", raw.get("q_max"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad grid config: {exc}") from exc
     mode = args.mode or raw.get("mode", "estimation")
-    q_max = raw.get("q_max")
-    report = run_experiment(config, mode=mode,
-                            q_max=None if q_max is None else int(q_max))
+    if mode not in MODES:
+        raise InputFormatError(f"bad grid config: mode must be one of {MODES}, got {mode!r}")
+    report = run_experiment(config, mode=mode, q_max=q_max)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
     bio.write_report_csv(csv_path, report)
@@ -264,7 +275,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="run one simulation-grid cell")
     p_sim.add_argument("--config", required=True, help="grid config (JSON or key=value)")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--mode", choices=("estimation", "selection"))
+    p_sim.add_argument("--mode", choices=MODES)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_pred = sub.add_parser("predict", help="edge/degree predictions and R2")

@@ -169,7 +169,8 @@ class ValuedGraph:
     A sparse count graph from :func:`build_graph` stores only
     :attr:`sparse_values`; ``values`` and :attr:`scalar_values` are then
     built on first read and kept, while :meth:`value`,
-    :meth:`weighted_degrees` and :meth:`scalar_rows` read the CSR array.
+    :meth:`weighted_degrees`, :meth:`row_nonzeros` and :meth:`scalar_rows`
+    read the CSR array.
     """
 
     n: int
@@ -250,18 +251,35 @@ class ValuedGraph:
         """The (n, n) matrix of X_ij (first component for the paired kind)."""
         return self.values[:, :, 0] if self.value_kind == "paired" else self.values
 
+    def row_nonzeros(self, rows: slice):
+        """The non-zero entries of ``scalar_values[rows]`` for a slice of
+        consecutive rows, in row-major order, as ``(r, j, x)``: the row
+        within the slice, the column and the value of each.
+
+        Read from the CSR view when the graph has one, so a graph that holds
+        only its CSR array builds no dense values; otherwise from the dense
+        rows.
+        """
+        S = self.sparse_values
+        if S is None:
+            X = self.scalar_values[rows]
+            r, j = np.nonzero(X)
+            return r, j, X[r, j]
+        r0, r1, _ = rows.indices(self.n)
+        lo, hi = S.indptr[r0], S.indptr[r1]
+        r = np.repeat(np.arange(r1 - r0), np.diff(S.indptr[r0:r1 + 1]))
+        return r, S.indices[lo:hi], S.data[lo:hi]
+
     def scalar_rows(self, rows: slice) -> np.ndarray:
         """``scalar_values[rows]`` for a slice of consecutive rows, without building the
         dense values of a graph that holds only its CSR array (a new array
-        then, else a read-only view)."""
+        scattered from :meth:`row_nonzeros` then, else a read-only view)."""
         if not self._csr_only:
             return self.scalar_values[rows]
-        S = self.sparse_values
         r0, r1, _ = rows.indices(self.n)
-        lo, hi = S.indptr[r0], S.indptr[r1]
+        r, j, x = self.row_nonzeros(rows)
         out = np.zeros((r1 - r0, self.n))
-        out[np.repeat(np.arange(r1 - r0), np.diff(S.indptr[r0:r1 + 1])),
-            S.indices[lo:hi]] = S.data[lo:hi]
+        out[r, j] = x
         return out
 
     @cached_property

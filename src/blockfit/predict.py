@@ -5,13 +5,14 @@ X_hat_ij = sum_ql tau_iq tau_jl E[X_ij | q, l] (for the covariate Poisson
 models E[X_ij | q, l] = lam_ql exp(beta' y_ij)); predicted weighted
 degrees are their row sums, so K_hat_i == sum_{j != i} X_hat_ij by
 construction.  Every family predicts a block of rows at a time, so a report
-needs no (n, n) array unless its edge tables are read.
+holds O(n) arrays: R^2 over the pairs reads the observed non-zero entries
+of each block of rows, and the (n, n) predicted table is built only when
+read, on every read, and never kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,10 +49,11 @@ class PredictionReport:
     ``r2_edges`` is taken over the pairs i < j of an undirected graph and
     i != j of a directed one.  ``observed_edges`` is the graph's own
     read-only ``scalar_values`` (no copy; a graph stored as its CSR array
-    builds them on this first read).  ``predicted_edges`` is built on first
-    read from the same row blocks that gave ``predicted_degrees``, so
-    ``predicted_degrees == predicted_edges.sum(axis=1)`` exactly, and kept.
-    Until they are read, a report holds O(n) arrays.
+    builds them on this first read, and keeps them).  ``predicted_edges`` is
+    built on every read from the same row blocks that gave
+    ``predicted_degrees``, so ``predicted_degrees ==
+    predicted_edges.sum(axis=1)`` exactly, and is never kept: read it once
+    into a local.  The report itself holds O(n) arrays.
     """
 
     observed_degrees: np.ndarray   # (n,)
@@ -66,9 +68,9 @@ class PredictionReport:
         """(n, n), zero diagonal, read-only."""
         return self.graph.scalar_values
 
-    @cached_property
+    @property
     def predicted_edges(self) -> np.ndarray:
-        """(n, n), zero diagonal."""
+        """(n, n), zero diagonal; a new array on every read."""
         return _stacked(self.predicted_rows, self.graph.n)
 
 
@@ -122,32 +124,36 @@ def _pair_pass(graph: ValuedGraph, predicted_rows, kobs):
     predictions against the graph's values over its node pairs.
 
     Each block of predictions ``predicted_rows(rows)`` gives its rows'
-    degrees and its share of the sums; the observed rows are read with
-    :meth:`ValuedGraph.scalar_rows`, from the CSR array of a graph that
-    holds only that, so no temporary is larger than a block.  Both
-    matrices have a zero diagonal, so the sums run over all ordered pairs
-    i != j.  An undirected graph counts each pair i < j twice in every sum,
-    which leaves the mean and the ratio SS_res / SS_tot as over i < j.  The
-    mean is the sum of the observed degrees ``kobs`` over the pair count;
-    SS_tot (about that mean, with the diagonal left out) and SS_res are
-    summed block by block, each block pairwise, as :func:`r_squared` sums,
-    since a dot product of a sparse graph's many equal (0 - mean)^2 terms
-    loses about 1e-12 of R^2.
+    degrees (its row sums) and its share of the sums.  The observed side is
+    read only as the rows' non-zero entries (:meth:`ValuedGraph.row_nonzeros`),
+    so no observed row is densified.  A block's squared residuals are its
+    squared predictions, replaced by (X - X_hat)^2 at the non-zeros, in a
+    new array: the block may be a view of the caller's.  Both matrices have
+    a zero diagonal, so the sums run over the N = n (n - 1) ordered pairs
+    i != j; an undirected graph counts each pair i < j twice in every sum,
+    which leaves the mean and SS_res / SS_tot as over i < j.  The mean is
+    sum(kobs) / N and SS_tot = sum_nz (X - mean)^2 + (N - nnz) mean^2.
+    Residuals are taken per entry and each block is summed pairwise, as
+    :func:`r_squared` sums: expanding SS_res as sum X^2 - 2 sum X X_hat
+    + sum X_hat^2 loses about 1e-4 of R^2 on a dense graph whose mean is
+    1e6, and a dot product of a sparse graph's many small terms about 1e-12.
     """
     n = graph.n
-    mean = kobs.sum() / (n * (n - 1))
+    pairs = n * (n - 1)
+    mean = kobs.sum() / pairs
     khat = np.empty(n)
     ss_tot = ss_res = 0.0
+    nnz = 0
     for rows in _row_blocks(n):
         xhat = predicted_rows(rows)
         khat[rows] = xhat.sum(axis=1)
-        X = graph.scalar_rows(rows)
-        res = X - xhat
-        ss_res += float(np.square(res, out=res).sum())
-        dev = X - mean
-        k = np.arange(dev.shape[0])
-        dev[k, rows.start + k] = 0.0  # the diagonal is no pair
-        ss_tot += float(np.square(dev, out=dev).sum())
+        r, j, x = graph.row_nonzeros(rows)
+        res = np.square(xhat)
+        res[r, j] = np.square(x - xhat[r, j])
+        ss_res += float(res.sum())
+        ss_tot += float(np.square(x - mean).sum())
+        nnz += x.size
+    ss_tot += (pairs - nnz) * float(mean) ** 2
     if ss_tot == 0.0:
         raise ValueError("observed values have zero variance")
     return khat, 1.0 - ss_res / ss_tot
@@ -165,10 +171,12 @@ def prediction_report(fit_result: FitResult, graph: ValuedGraph,
 
     One pass over blocks of about ``_BLOCK`` entries (:func:`_pair_pass`)
     predicts each block of rows once and gives the predicted degrees (the
-    blocks' row sums) and ``r2_edges``.  That is O(n^2 Q) time, and
-    O(nnz + block) memory on a graph that holds only its CSR array: the
+    blocks' row sums) and ``r2_edges``, whose observed side reads only the
+    non-zero entries of the rows.  That is O(n^2 Q) time, and
+    O(nnz + block) memory on a graph that holds only its CSR array.  The
     report's ``observed_edges`` and ``predicted_edges`` are (n, n) arrays
-    built only when read (see :class:`PredictionReport`).
+    built only when read; ``predicted_edges`` is rebuilt on each read and
+    not kept, so read it once into a local (see :class:`PredictionReport`).
     """
     predicted_rows = _predictor(fit_result, graph, cov, spec)
     kobs = graph.weighted_degrees()

@@ -86,11 +86,18 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
              edge_count: str = "ordered") -> SelectionResult:
     """Fit every Q in ``q_range`` and pick the ICL maximizer.
 
-    Ties break toward smaller Q; per-Q restart streams are seeded from
-    (seed, Q) so the sweep is reproducible.  Failed fits are recorded with
+    ``q_range`` holds distinct integers in ascending order.  Ties break
+    toward smaller Q; per-Q restart streams are seeded from (seed, Q) so the
+    sweep is reproducible.  Failed fits are recorded with
     ICL = -inf instead of aborting the sweep.
     """
-    q_list = [int(q) for q in q_range]
+    q_list = []
+    for q in q_range:
+        if isinstance(q, bool) or not isinstance(q, numbers.Real) or not float(q).is_integer():
+            raise ValueError(f"q_range holds {q!r}, which is not an integer")
+        if q_list and int(q) == q_list[-1]:
+            raise ValueError(f"q_range repeats Q = {int(q)}")
+        q_list.append(int(q))
     if not q_list or sorted(q_list) != q_list:
         raise ValueError("q_range must be nonempty and ascending")
     opts = dict(fit_options or {})

@@ -22,6 +22,8 @@ from .families import FamilySpec, PoissonParams
 from .graph import EdgeCovariates, ValuedGraph
 from .selection import select_q
 
+MODES = ("estimation", "selection")  # what run_experiment reports on a grid cell
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -141,7 +143,7 @@ def run_experiment(config: GridConfig, spec: FamilySpec | None = None,
     the ``poisson`` family (the default); any other raises ``FamilyError``.
     """
     spec = spec or FamilySpec("poisson")
-    if mode not in ("estimation", "selection"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if spec.kind != "poisson":
         raise FamilyError(f"the simulation grid is Poisson; family {spec.kind!r} cannot fit it")

@@ -190,6 +190,34 @@ def test_cli_simulate_key_value_config(tmp_path):
     assert (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 30.9), ("q_star", 2.5), ("s", 2.7), ("seed", 1.9), ("q_max", 3.5),
+    ("n", True), ("s", False), ("seed", True), ("q_max", float("nan")),
+])
+def test_cli_simulate_refuses_a_non_integral_config_value(tmp_path, capsys, key, value):
+    """int() would truncate these and run a cell no one asked for."""
+    config = {"n": 25, "a": 1.0, "lambda": 4.0, "gamma": 0.1, "q_star": 2, "s": 2,
+              "seed": 3, "q_max": 3, key: value}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--mode", "selection",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("blockfit: ") and f"{key} must be an integer, got {value!r}" in err
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_an_unknown_mode_in_the_config(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("n = 20\na = 1.0\nlambda = 3.0\ngamma = 0.1\nmode = bogus\n")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("blockfit: ") and "mode must be one of" in err and "'bogus'" in err
+
+
 def test_cli_error_exit_codes(tmp_path, two_block_graph):
     g, edges = two_block_graph
     # usage errors -> 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,51 @@ def test_pair_r2_keeps_precision_on_a_mostly_zero_graph():
     ss_res = math.fsum((x - xh) ** 2)
     want = 1.0 - ss_res / float(ss_tot)
     assert _pair_r_squared(g, Xhat + Xhat.T) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_pair_r2_keeps_precision_on_a_dense_graph_with_a_large_mean():
+    # every pair is non-zero, with mean 1e6 and sd 1: expanding SS_res as
+    # sum X^2 - 2 sum X X_hat + sum X_hat^2 would cancel terms of 1e12 and
+    # lose about 1e-4 of R^2, so the residuals must be taken per entry
+    rng = np.random.default_rng(5)
+    n = 300
+    iu = np.triu_indices(n, 1)
+    x = rng.normal(1e6, 1.0, iu[0].size)
+    xh = x + rng.normal(0.0, 0.7, x.size)
+    X, Xhat = np.zeros((n, n)), np.zeros((n, n))
+    X[iu], Xhat[iu] = x, xh
+    g = ValuedGraph.from_matrix(X + X.T, False, "real")
+    assert g.sparse_values is None  # the observed rows are read dense
+    mean = math.fsum(x) / x.size
+    ss_tot = math.fsum((x - mean) ** 2)
+    ss_res = math.fsum((x - xh) ** 2)
+    want = 1.0 - ss_res / ss_tot
+    assert _pair_r_squared(g, Xhat + Xhat.T) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_predicted_edges_are_built_on_each_read_and_never_kept():
+    lam = np.array([[5.0, 0.5], [0.5, 2.0]])
+    params = MixtureParams(alpha=np.array([0.5, 0.5]), theta=PoissonParams(lam=lam))
+    n = 200
+    g, _ = bf.sample_graph(params, n, True, POISSON, seed=2)
+    rep = prediction_report(bf.fit(g, POISSON, 2, seed=0, restarts=1), g)
+    first = rep.predicted_edges
+    assert "predicted_edges" not in vars(rep)
+    second = rep.predicted_edges
+    assert first is not second and first.tobytes() == second.tobytes()
+    assert np.array_equal(rep.predicted_degrees, first.sum(axis=1))
+    del first, second
+    table_bytes = n * n * 8
+    tracemalloc.start()
+    try:
+        table = rep.predicted_edges
+        held = tracemalloc.get_traced_memory()[0]
+        del table
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held >= table_bytes and left < table_bytes // 8, (held, left)
+    assert type(rep.r2_edges) is float  # not a NumPy scalar
 
 
 @pytest.mark.parametrize("directed", [False, True])

@@ -95,6 +95,20 @@ def test_select_q_bad_range():
         bf.select_q(g, POISSON, [3, 2, 1])
 
 
+@pytest.mark.parametrize("q_range, message", [
+    ([1, 2.7], "q_range holds 2.7, which is not an integer"),
+    ([2, 2], "q_range repeats Q = 2"),
+    ([1, 2, 2, 3], "q_range repeats Q = 2"),
+    ([True, 2], "q_range holds True, which is not an integer"),
+], ids=["fraction", "repeat", "repeat-inside", "bool"])
+def test_select_q_refuses_fractional_and_repeated_q(q_range, message):
+    """Q is neither truncated (2.7 would fit Q = 2) nor fitted twice."""
+    params = MixtureParams(alpha=np.array([1.0]), theta=PoissonParams(lam=np.array([[2.0]])))
+    g, _ = bf.sample_graph(params, 5, False, POISSON, seed=4)
+    with pytest.raises(ValueError, match=message):
+        bf.select_q(g, POISSON, q_range)
+
+
 def test_select_q_accepts_seed_sequences_and_keeps_integer_streams():
     params = MixtureParams(alpha=np.array([0.5, 0.5]),
                            theta=PoissonParams(lam=np.array([[4.0, 1.0], [1.0, 3.0]])))

@@ -95,6 +95,30 @@ def _planted_edge_csv(path, n, per_node, seed):
         fh.writelines(f"{x},{y},{w}\n" for x, y, w in zip(a.tolist(), b.tolist(), v.tolist()))
 
 
+def test_row_nonzeros_read_the_csr_array_or_the_dense_rows():
+    """The non-zero entries of a row block, in row-major order, are the same
+    whether read from a CSR-only graph, its dense twin's CSR view or dense
+    rows (a graph too dense for a view)."""
+    rng = np.random.default_rng(8)
+    n = 60
+    X = np.where(rng.random((n, n)) < 0.02, rng.integers(1, 9, (n, n)), 0).astype(float)
+    np.fill_diagonal(X, 0.0)
+    i, j = np.nonzero(X)
+    g = build_graph(n, True, list(zip(i.tolist(), j.tolist(), X[i, j].tolist())), "count",
+                    fill=0)
+    twin = ValuedGraph.from_matrix(X, True)
+    Y = X + (~np.eye(n, dtype=bool)) * rng.integers(0, 2, (n, n))
+    dense = ValuedGraph.from_matrix(Y, True)
+    assert _csr_only(g) and twin.sparse_values is not None and dense.sparse_values is None
+    for rows in (slice(0, 1), slice(7, 19), slice(50, n)):
+        for h, M in ((g, X), (twin, X), (dense, Y)):
+            r, c = np.nonzero(M[rows])
+            got = h.row_nonzeros(rows)
+            assert [a.tolist() for a in got] == [r.tolist(), c.tolist(), M[rows][r, c].tolist()]
+        assert g.scalar_rows(rows).tobytes() == X[rows].tobytes()
+    assert _csr_only(g)
+
+
 def test_the_sparse_chain_allocates_no_n_squared_array(tmp_path):
     """load -> fit -> ICL -> fit JSON -> report on n = 4000 stays far below
     one n x n float64 array (128 MB)."""
