@@ -2,7 +2,9 @@
 
 Sweeps Q = 1..6 on data simulated with three latent groups and shows the
 ICL curve: the complete-data likelihood keeps improving with Q while the
-penalty 1/2 {P_Q log[n(n-1)] - (Q-1) log n} eventually wins.
+penalty 1/2 {P_Q log[n(n-1)] - (Q-1) log n} eventually wins.  The curve
+ends where the sweep stops: once ICL fails to beat its best at two
+consecutive Q, the larger Q of the range are not fitted.
 """
 
 import numpy as np
@@ -27,6 +29,9 @@ for rec in sweep.records:
     mark = "  <- chosen" if rec.q == sweep.chosen_q else ""
     print(f"{rec.q:>3} {rec.fit.bound:>12.1f} {rec.icl:>12.1f} "
           f"{rec.fit.entropy:>9.2f}{mark}")
+
+if sweep.skipped:
+    print(f"sweep stopped: {sweep.stop_reason}")
 
 print(f"\nselected Q = {sweep.chosen_q} (simulated with Q* = 3)")
 

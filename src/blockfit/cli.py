@@ -19,7 +19,7 @@ from .errors import BlockfitError, GraphBuildError, InputFormatError, NumericalE
 from .families import FAMILIES, FAMILY_KINDS, FamilySpec
 from .predict import prediction_report
 from .selection import icl, select_q
-from .simulate import MODES, GridConfig, run_experiment
+from .simulate import MODES, GridConfig, as_int, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -129,6 +129,8 @@ def cmd_select(args):
     for rec in result.records:
         j = "nan" if rec.fit is None else f"{rec.fit.bound:.4f}"
         print(f"Q={rec.q} J={j} ICL={rec.icl:.4f}" + ("  <- chosen" if rec.q == result.chosen_q else ""))
+    if result.skipped:
+        print(f"sweep stopped: {result.stop_reason}")
     if args.fit_out:
         best = result.best_fit
         extra = {"n": g.n, "directed": g.directed, "covariate_mean": _covariate_mean(cov)}
@@ -137,28 +139,16 @@ def cmd_select(args):
     return EXIT_OK
 
 
-def _config_int(key, value):
-    """A grid-config integer as an int, None staying None; a bool or a
-    number with a fraction, which int() would take or truncate, is an input
-    error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InputFormatError(f"bad grid config: {key} must be an integer, got {value!r}")
-    return None if value is None else int(value)
-
-
 def cmd_simulate(args):
     raw = bio.read_grid_config(args.config)
     try:
-        config = GridConfig(
-            n=_config_int("n", raw["n"]), a=float(raw["a"]),
-            lam=float(raw.get("lambda", raw.get("lam"))),
-            gamma_ratio=float(raw.get("gamma", raw.get("gamma_ratio"))),
-            q_star=_config_int("q_star", raw.get("q_star", 3)),
-            s=_config_int("s", raw.get("s", 100)),
-            seed=_config_int("seed", raw.get("seed")),
-        )
-        q_max = _config_int("q_max", raw.get("q_max"))
-    except (KeyError, TypeError, ValueError) as exc:
+        config = GridConfig(n=raw["n"], a=raw["a"], lam=raw.get("lambda", raw.get("lam")),
+                            gamma_ratio=raw.get("gamma", raw.get("gamma_ratio")),
+                            q_star=raw.get("q_star", 3), s=raw.get("s", 100),
+                            seed=raw.get("seed"))
+        q_max = raw.get("q_max")
+        q_max = None if q_max is None else as_int("q_max", q_max)
+    except (KeyError, ValueError) as exc:
         raise InputFormatError(f"bad grid config: {exc}") from exc
     mode = args.mode or raw.get("mode", "estimation")
     if mode not in MODES:
@@ -264,8 +254,10 @@ def build_parser():
     _add_common_fit_flags(p_sel)
     p_sel.add_argument("--qmin", type=int, default=1)
     p_sel.add_argument("--qmax", type=int, default=10,
-                       help="largest Q tried, at most the node count (default 10: a graph "
-                            "with fewer than 10 nodes needs an explicit --qmax)")
+                       help="upper bound on Q, at most the node count (default 10: a graph "
+                            "with fewer than 10 nodes needs an explicit --qmax); the sweep "
+                            "stops before it once ICL fails to beat its best at two "
+                            "consecutive Q")
     p_sel.add_argument("--edge-count-convention", choices=("ordered", "unordered"),
                        default="ordered")
     p_sel.add_argument("--out", help="output table CSV/JSON (default selection.csv)")

@@ -157,10 +157,10 @@ def _log_alpha(alpha):
     return np.log(np.maximum(alpha, ALPHA_FLOOR))
 
 
-def _scorer(spec, graph, cov):
+def _scorer(spec, graph, cov, workspace=None):
     fam = families.get_family(spec)
     fam.check_graph(graph, cov)
-    return fam.scorer(graph, cov)
+    return fam.scorer(graph, cov, workspace)
 
 
 def _entropy_term(tau):
@@ -568,8 +568,8 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
         raise ValueError("Q must be >= 1")
     fam = families.get_family(spec)
     fam.check_graph(graph, cov)
-    scorer = fam.scorer(graph, cov)
     workspace = fam.mstep_workspace(graph, cov)
+    scorer = fam.scorer(graph, cov, workspace)
 
     labels = None
     if not isinstance(init, str):
@@ -703,11 +703,12 @@ def exact_posterior_marginals(graph: ValuedGraph, spec, params: MixtureParams,
 
 
 def complete_data_loglik(graph: ValuedGraph, spec, params: MixtureParams, labels,
-                         cov: EdgeCovariates | None = None) -> float:
-    """log P(X, Z; gamma) for a hard assignment Z given as labels."""
+                         cov: EdgeCovariates | None = None, *, workspace=None) -> float:
+    """log P(X, Z; gamma) for a hard assignment Z given as labels;
+    ``workspace`` is as for :func:`mstep`, which the scorer may share."""
     labels = np.asarray(labels, dtype=int)
     n, Q = graph.n, params.Q
     onehot = np.zeros((n, Q))
     onehot[np.arange(n), labels] = 1.0
-    ops = _scorer(spec, graph, cov)(params.theta)
+    ops = _scorer(spec, graph, cov, workspace)(params.theta)
     return float(_log_alpha(params.alpha)[labels].sum() + ops.edge_term(onehot))

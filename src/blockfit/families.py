@@ -25,8 +25,9 @@ Every family answers three questions for the fitting engine:
   same list feeds the scorer (with the family's coefficients) and the
   estimate, which maps the block sums T_k = tau^T S_k tau and the block
   weights to the parameters.  The Poisson regressions run Newton on the
-  weighted GLM objective, from covariate channels that each fit prepares
-  once (``mstep_workspace``);
+  weighted GLM objective.  Each fit builds once what its M-steps reuse
+  (``mstep_workspace``): the statistics list, which its scorer shares, or
+  the regressions' covariate channels;
 * bookkeeping -- sampling and block means per family; the rest comes from
   two tables.  The registry :data:`FAMILIES` maps each kind to its class,
   the value kind of its graphs (read by the CLI, sampling and
@@ -544,9 +545,11 @@ class _Family:
 
     # -- scoring ------------------------------------------------------------
 
-    def scorer(self, graph: ValuedGraph, cov):
+    def scorer(self, graph: ValuedGraph, cov, workspace=None):
         """Return a callable params -> score container, caching the
-        parameter-independent pieces."""
+        parameter-independent pieces.  ``workspace`` is the fit's
+        :meth:`mstep_workspace`, which the statistics families share and
+        build when it is not given."""
         raise NotImplementedError
 
     def log_density(self, params, q, l, x, y=None):
@@ -574,9 +577,12 @@ class _Family:
 
     def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
         """The M-step of every family: :meth:`block_estimate` from the block
-        weights; on the degenerate blocks each block-wise array frozen at
-        ``prev``'s value, or at the pooled one without ``prev``; then
-        :meth:`finish` and the record."""
+        weights and ``workspace`` (built for this call when not given); on
+        the degenerate blocks each block-wise array frozen at ``prev``'s
+        value, or at the pooled one without ``prev``; then :meth:`finish`
+        and the record."""
+        if workspace is None:
+            workspace = self.mstep_workspace(graph, cov)
         W, degen = _block_weights(tau, graph.n)
         est, pooled = self.block_estimate(tau, graph, cov, W, degen, prev, workspace)
         if np.any(degen):
@@ -608,7 +614,8 @@ class _StatFamily(_Family):
 
     The same statistics feed the scorer and the M-step, whose block sums
     T_k = tau^T S_k tau and block weights W are all the estimate reads.  A
-    family declares:
+    fit builds the list once, as its :meth:`mstep_workspace`, and hands it
+    to the scorer too.  A family declares:
 
     * :meth:`statistics` -- the list of n x n arrays S_k, zero diagonals;
     * :meth:`constant` -- the pair sum of c_ij, the terms that are the same
@@ -631,8 +638,12 @@ class _StatFamily(_Family):
     def estimate(self, T, W, degen):
         raise NotImplementedError
 
+    def mstep_workspace(self, graph, cov):
+        """The statistics, built once per fit for the scorer and every M-step."""
+        return self.statistics(graph, cov)
+
     def block_estimate(self, tau, graph, cov, W, degen, prev, workspace):
-        T = [_block_sums(S, tau) for S in self.statistics(graph, cov)]
+        T = [_block_sums(S, tau) for S in workspace]
 
         def pooled():
             return self.estimate([t.sum(keepdims=True) for t in T], W.sum(keepdims=True),
@@ -640,8 +651,12 @@ class _StatFamily(_Family):
 
         return self.estimate(T, W, degen), pooled
 
-    def scorer(self, graph, cov):
-        stats = self.statistics(graph, cov)
+    def scorer(self, graph, cov, workspace=None):
+        return self.score_maker(graph, cov, self.statistics(graph, cov)
+                                if workspace is None else workspace)
+
+    def score_maker(self, graph, cov, stats):
+        """The scorer on the fit's statistics ``stats``."""
         fixed = self.constant(graph, cov)
         directed = graph.directed
 
@@ -699,7 +714,7 @@ class _PoissonRegFamily(_Family):
         super().__init__(spec)
         self.shared = dict(FAMILIES[spec.kind].flags)["shared"]
 
-    def scorer(self, graph, cov):
+    def scorer(self, graph, cov, workspace=None):
         X = graph.scalar_values
         Y = cov.y
         directed = graph.directed
@@ -745,29 +760,28 @@ class _PoissonRegFamily(_Family):
         """Newton from ``prev`` (else from beta = 0): PRMH fits one beta
         jointly across blocks with per-block intercepts log lam_ql, PRMI
         each block on its own.  ``workspace`` is the fit's
-        :class:`_GLMWorkspace`; without one, one for this call alone is
-        built.  The pooled value is the rate of all blocks with beta = 0."""
-        ws = _GLMWorkspace(graph, cov, self.shared) if workspace is None else workspace
+        :class:`_GLMWorkspace`.  The pooled value is the rate of all blocks
+        with beta = 0."""
         X = graph.scalar_values
         Q = tau.shape[1]
         A = tau.T @ X @ tau
 
         if self.shared:
             beta0 = np.zeros(cov.p) if prev is None else prev.beta
-            beta, B = _newton_profile(A.ravel(), ws.xy, partial(ws.sums, tau, tau), beta0,
-                                      "shared-beta fit")
+            beta, B = _newton_profile(A.ravel(), workspace.xy,
+                                      partial(workspace.sums, tau, tau), beta0, "shared-beta fit")
             B = B.reshape(Q, Q)
             lam = np.where(B > 0, A / np.maximum(B, 1e-300), 0.0)
         else:
             beta = np.zeros((Q, Q, cov.p)) if prev is None else np.array(prev.beta)
             lam = np.zeros((Q, Q))
-            C = np.matmul(tau.T, ws.xy @ tau)  # (p, Q, Q): tau_q^T (X * Y_d) tau_l
+            C = np.matmul(tau.T, workspace.xy @ tau)  # (p, Q, Q): tau_q^T (X * Y_d) tau_l
             pairs = [(q, l) for q in range(Q) for l in range(Q)
                      if graph.directed or q <= l]
             for q, l in pairs:
                 if degen[q, l]:
                     continue
-                sums_at = partial(ws.sums, tau[:, q:q + 1], tau[:, l:l + 1])
+                sums_at = partial(workspace.sums, tau[:, q:q + 1], tau[:, l:l + 1])
                 b, B = _newton_profile(A[q, l].reshape(1), C[:, q, l], sums_at, beta[q, l],
                                        f"block ({q},{l})")
                 B = B[0]
@@ -1070,8 +1084,8 @@ class _SimpleRegressionFamily(_StatFamily):
         Y = cov.y[:, :, 0]
         return [X, Y, X * Y, Y * Y, X * X]
 
-    def scorer(self, graph, cov):
-        X, Y, XY, YY, XX = self.statistics(graph, cov)
+    def score_maker(self, graph, cov, stats):
+        X, Y, XY, YY, XX = stats
         directed = graph.directed
         sxy, syy, sxx = (_pair_total(S, directed) for S in (XY, YY, XX))
 

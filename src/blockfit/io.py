@@ -334,20 +334,28 @@ def read_fit_json(path):
 
 
 def write_selection_table(path, result: SelectionResult, fmt="csv"):
+    """One row per Q of the sweep's range.  ``status`` tells a fitted Q from
+    a failed one (its error in ``error``) and from one the sweep stopped
+    before (``skipped``: no J, ICL or entropy); the JSON form also carries
+    the stop reason."""
     rows = []
     for rec in result.records:
         rows.append({
             "Q": rec.q,
+            "status": "failed" if rec.fit is None else "fitted",
             "J": "" if rec.fit is None else rec.fit.bound,
             "ICL": rec.icl if fmt == "csv" or np.isfinite(rec.icl) else None,
             "entropy": "" if rec.fit is None else rec.fit.entropy,
             "chosen": int(rec.q == result.chosen_q),
             "error": rec.error or "",
         })
+    for q in result.skipped:
+        rows.append({"Q": q, "status": "skipped", "J": "", "ICL": "" if fmt == "csv" else None,
+                     "entropy": "", "chosen": 0, "error": ""})
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"chosen_q": result.chosen_q, "sweep": rows}, fh, indent=1,
-                      allow_nan=False)
+            json.dump({"chosen_q": result.chosen_q, "stop_reason": result.stop_reason,
+                       "sweep": rows}, fh, indent=1, allow_nan=False)
             fh.write("\n")
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -168,6 +168,29 @@ def test_cli_fit_select_predict_report(tmp_path, two_block_graph, capsys):
     assert f"{a - b:.4f}" in out  # delta equals the stored difference exactly
 
 
+def test_cli_select_reports_the_q_it_did_not_fit(tmp_path, two_block_graph, capsys):
+    """Q = 3 and 4 fail to beat Q = 2, so Q = 5 is skipped, not failed."""
+    _, edges = two_block_graph
+    common = ["select", "--edges", str(edges), "--qmin", "1", "--qmax", "5", "--seed", "1",
+              "--restarts", "2"]
+    capsys.readouterr()
+    assert main([*common, "--out", str(tmp_path / "sweep.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "Q=5 J=" not in out
+    assert ("sweep stopped: ICL at Q=3 and Q=4 did not beat the best" in out
+            and "Q=5 not fitted" in out)
+    rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+    assert [(r["Q"], r["status"]) for r in rows] == [
+        ("1", "fitted"), ("2", "fitted"), ("3", "fitted"), ("4", "fitted"), ("5", "skipped")]
+    assert rows[-1]["J"] == rows[-1]["ICL"] == rows[-1]["error"] == "" and rows[-1]["chosen"] == "0"
+
+    assert main([*common, "--out", str(tmp_path / "sweep.json")]) == 0
+    data = json.loads((tmp_path / "sweep.json").read_text())
+    assert data["chosen_q"] == 2 and data["stop_reason"].endswith("Q=5 not fitted")
+    assert data["sweep"][-1] == {"Q": 5, "status": "skipped", "J": "", "ICL": None,
+                                 "entropy": "", "chosen": 0, "error": ""}
+
+
 def test_cli_simulate(tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"n": 25, "a": 1.0, "lambda": 4.0, "gamma": 0.1,
@@ -206,6 +229,22 @@ def test_cli_simulate_refuses_a_non_integral_config_value(tmp_path, capsys, key,
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("blockfit: ") and f"{key} must be an integer, got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["a", "lambda", "gamma"])
+def test_cli_simulate_refuses_a_bool_for_a_real_config_value(tmp_path, capsys, key):
+    """JSON true is not the number 1."""
+    config = {"n": 25, "a": 1.0, "lambda": 4.0, "gamma": 0.1, "s": 2, key: True}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--mode", "selection",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("blockfit: input error: bad grid config: ")
+    assert "must be a finite real number, got True" in err
     assert not out.exists()
 
 

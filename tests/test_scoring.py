@@ -29,7 +29,9 @@ from blockfit.engine import (
     _normalize_rows,
     _profile_distances,
     _softmax_rows,
+    complete_data_loglik,
     estep_fixed_point,
+    fit,
     init_partition,
     lower_bound,
     mstep,
@@ -51,10 +53,12 @@ from blockfit.families import (
     PoissonRegParams,
     SimpleRegressionParams,
     _log_factorial_total,
+    _StatFamily,
     expfam_mle,
     get_family,
 )
 from blockfit.graph import CSR_MAX_DENSITY, EdgeCovariates
+from blockfit.selection import icl, icl_penalty
 
 NUM_LABELS = 3
 P = 2  # covariate dimension (simplereg: 1)
@@ -343,6 +347,53 @@ def test_bigauss_statistics_are_built_once_per_graph():
     first, second = make(params), make(params)
     assert len(first.stats) == 5
     assert all(a is b for a, b in zip(first.stats, second.stats))
+
+
+STAT_KINDS = [k for k in FAMILY_KINDS if issubclass(FAMILIES[k].family, _StatFamily)]
+
+
+@pytest.mark.parametrize("kind", STAT_KINDS)
+def test_a_fit_builds_its_statistics_once(kind, monkeypatch):
+    """The scorer and every M-step of a fit, over all its restarts, read one
+    statistics list."""
+    rng = np.random.default_rng(7)
+    g, cov, spec, _ = _instance(kind, rng, 12, 2, False)
+    cls = FAMILIES[kind].family
+    real = cls.statistics
+    built = []
+
+    def counted(self, graph, cov):
+        built.append(real(self, graph, cov))
+        return built[-1]
+
+    monkeypatch.setattr(cls, "statistics", counted)
+    fr = fit(g, spec, 2, cov, seed=0, restarts=2)
+    assert len(built) == 1
+    assert fr.iterations >= 1
+
+
+@pytest.mark.parametrize("kind", STAT_KINDS)
+def test_icl_builds_its_statistics_once(kind, monkeypatch):
+    """ICL's hard-label M-step and likelihood share one statistics list,
+    and give what each gives with its own."""
+    rng = np.random.default_rng(7)
+    g, cov, spec, _ = _instance(kind, rng, 12, 2, False)
+    fr = fit(g, spec, 2, cov, seed=0, restarts=1)
+    labels = fr.map_assignment
+    hard = np.eye(2)[labels]
+    refit = mstep(g, spec, hard, cov, prev=fr.params.theta)
+    want = complete_data_loglik(g, spec, refit, labels, cov) - icl_penalty(spec, 2, 12, False)
+    cls = FAMILIES[kind].family
+    real = cls.statistics
+    built = []
+
+    def counted(self, graph, cov):
+        built.append(real(self, graph, cov))
+        return built[-1]
+
+    monkeypatch.setattr(cls, "statistics", counted)
+    assert icl(g, spec, fr, cov) == want
+    assert len(built) == 1
 
 
 # 16044 ... 19473 overflowed in the Newton Hessian; 58755 walked past

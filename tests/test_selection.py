@@ -1,10 +1,11 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
 import blockfit as bf
-from blockfit import FamilySpec
+from blockfit import FamilySpec, selection
 from blockfit.engine import MixtureParams, complete_data_loglik, mstep
 from blockfit.families import PoissonParams
 from blockfit.selection import SelectionRecord, _choose, icl_penalty, map_assignment
@@ -120,3 +121,85 @@ def test_select_q_accepts_seed_sequences_and_keeps_integer_streams():
     # an integer seed s fits Q with seed s * 1000 + Q
     c = bf.select_q(g, POISSON, range(1, 3), fit_options=opts, seed=3)
     assert c.record(2).fit.bound == bf.fit(g, POISSON, 2, seed=3002, **opts).bound
+
+
+def _three_block_graph(n, seed):
+    truth = bf.grid_params(a=0.7, lam=3.0, gamma_ratio=0.3, q_star=3)
+    g, _ = bf.sample_graph(truth, n, False, POISSON, seed=seed)
+    return g
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_stopped_sweep_fits_what_a_full_sweep_fits(seed):
+    """The fitted Q are a prefix of the range, each with the bound and ICL
+    of its single-Q sweep bit for bit, and the choice is the argmax over
+    single-Q sweeps of the whole range."""
+    g = _three_block_graph(40, seed)
+    opts = {"restarts": 1}
+    q_range = range(1, 8)
+    res = bf.select_q(g, POISSON, q_range, seed=seed, fit_options=opts)
+    singles = [bf.select_q(g, POISSON, [q], seed=seed, fit_options=opts).records[0]
+               for q in q_range]
+    fitted = [rec.q for rec in res.records]
+    assert res.skipped, "the sweep ran to the end of its range"
+    assert fitted + res.skipped == list(q_range)
+    for rec, single in zip(res.records, singles):
+        assert rec.q == single.q
+        assert rec.fit.bound == single.fit.bound
+        assert rec.icl == single.icl
+    assert res.chosen_q == _choose(singles).q
+    assert res.stop_reason and f"Q={fitted[-1]}" in res.stop_reason
+
+
+def _scripted_sweep(monkeypatch, icls):
+    """select_q over Q = 1..len(icls) whose fit at Q has ICL icls[Q - 1];
+    None marks a failed fit."""
+    def fake_fit(graph, spec, q, cov, **kwargs):
+        if icls[q - 1] is None:
+            raise bf.NumericalError(f"no fit at Q={q}")
+        return types.SimpleNamespace(q=q)
+
+    monkeypatch.setattr(selection, "fit", fake_fit)
+    monkeypatch.setattr(selection, "icl", lambda graph, spec, fr, cov, **kw: icls[fr.q - 1])
+    return selection.select_q(None, POISSON, range(1, len(icls) + 1), seed=0)
+
+
+@pytest.mark.parametrize("icls, fitted, chosen", [
+    ([-10.0, -12.0, -13.0, -9.0], 3, 1),               # two falls stop the sweep
+    ([-10.0, -10.0, -10.0, -5.0], 3, 1),               # ties are misses
+    ([-10.0, None, -11.0, -5.0], 3, 1),                # a failed fit is a miss
+    ([-10.0, -11.0, -9.0, -10.0, -8.0], 5, 5),         # a new best resets the count
+    ([None, None, None, -10.0, -11.0, -9.0], 6, 6),    # no miss before the first finite ICL
+    ([None, -10.0, -11.0, -12.0, -1.0], 4, 2),
+    ([-10.0, -5.0, -6.0], 3, 2),                       # the range ends at the first miss
+    ([-10.0, -11.0, -12.0], 3, 1),                     # ... or at the second
+], ids=["falls", "ties", "failure", "reset", "failures-first", "failure-then-falls",
+        "ends-at-one-miss", "ends-at-two-misses"])
+def test_the_sweep_stops_after_two_misses(monkeypatch, icls, fitted, chosen):
+    res = _scripted_sweep(monkeypatch, icls)
+    assert [rec.q for rec in res.records] == list(range(1, fitted + 1))
+    assert res.skipped == list(range(fitted + 1, len(icls) + 1))
+    assert res.chosen_q == chosen
+    assert (res.stop_reason is None) == (fitted == len(icls))
+    if res.skipped:
+        assert res.stop_reason.endswith(f"Q={', '.join(map(str, res.skipped))} not fitted")
+
+
+def test_a_selection_cell_chooses_as_with_full_sweeps(monkeypatch):
+    config = bf.GridConfig(n=50, a=0.5, lam=2.0, gamma_ratio=0.5, q_star=3, s=10, seed=3)
+    fits = []
+    real = selection.fit
+
+    def counted(*args, **kwargs):
+        fits.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "fit", counted)
+    opts = {"restarts": 1}
+    stopped = bf.run_experiment(config, mode="selection", q_max=6, fit_options=opts)
+    n_stopped = len(fits)
+    monkeypatch.setattr(selection, "STOP_AFTER_MISSES", 7)  # never reached over Q = 1..6
+    full = bf.run_experiment(config, mode="selection", q_max=6, fit_options=opts)
+    assert len(fits) - n_stopped == 60 > n_stopped
+    assert stopped.q_frequencies == full.q_frequencies
+    assert stopped.replicates_done == full.replicates_done == 10

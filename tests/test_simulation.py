@@ -125,6 +125,40 @@ def test_grid_config_validation():
         GridConfig(n=10, a=0.5, lam=1.0, gamma_ratio=0.5, s=0)
 
 
+CELL = dict(n=30, a=0.5, lam=2.0, gamma_ratio=0.5, q_star=3, s=2, seed=1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 30.9, "n must be an integer, got 30.9"),
+    ("n", True, "n must be an integer, got True"),
+    ("n", "30", "n must be an integer, got '30'"),
+    ("q_star", 2.5, "q_star must be an integer, got 2.5"),
+    ("s", 2.7, "s must be an integer, got 2.7"),
+    ("s", False, "s must be an integer, got False"),
+    ("seed", 1.9, "seed must be an integer, got 1.9"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("a", True, "a must be a finite real number, got True"),
+    ("a", float("nan"), "a must be a finite real number, got nan"),
+    ("lam", True, "lam must be a finite real number, got True"),
+    ("lam", float("inf"), "lam must be a finite real number, got inf"),
+    ("gamma_ratio", "0.5", "gamma_ratio must be a finite real number, got '0.5'"),
+    ("gamma_ratio", -float("inf"), "gamma_ratio must be a finite real number, got -inf"),
+    ("a", 1.5, r"a must lie in \(0, 1\]"),
+    ("n", 1, "need s >= 1, n >= 2, q_star >= 1"),
+])
+def test_grid_config_refuses_what_is_not_a_cell(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        GridConfig(**{**CELL, field: value})
+
+
+def test_grid_config_stores_integers_and_floats():
+    config = GridConfig(**{**CELL, "n": 30.0, "a": 1, "lam": np.float64(2.0),
+                           "s": np.int64(2), "seed": None})
+    assert (config.n, config.a, config.lam, config.s, config.seed) == (30, 1.0, 2.0, 2, None)
+    assert type(config.n) is int and type(config.s) is int
+    assert type(config.a) is float and type(config.lam) is float
+
+
 def test_run_experiment_rejects_bad_mode():
     config = GridConfig(n=10, a=1.0, lam=1.0, gamma_ratio=0.5, s=1)
     with pytest.raises(ValueError):
