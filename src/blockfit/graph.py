@@ -15,12 +15,15 @@ Count and binary graphs are often mostly zeros.  Below ``CSR_MAX_DENSITY``
 a graph also offers its scalar values as a cached CSR array
 (:attr:`ValuedGraph.sparse_values`), from which the Poisson and Bernoulli
 statistics, the spectral start that ``engine.fit`` takes on such a graph,
-an explicitly requested Ward start, ICL and prediction read only the
-non-zero entries.  A count graph that :func:`build_graph` assembles from
-entries below that density keeps only this CSR array: its dense ``values``
-are built from it on first read, so such a graph loads, fits and reports in
-O(nnz) memory.  Every other graph stores its dense values, and one made
-from them builds the CSR array on first use.
+ICL and prediction read only the non-zero entries.  The Ward start, asked
+for or taken when the spectral start fails, forms its Gram product from
+them too, but still allocates 12-16 n^2 bytes for that product and the
+distances, which ``engine`` checks against physical memory first.  A count graph that
+:func:`build_graph` assembles from entries below that density keeps only
+this CSR array: its dense ``values`` are built from it on first read, so
+such a graph loads, fits and reports in O(nnz) memory.  Every other graph
+stores its dense values, and one made from them builds the CSR array on
+first use.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ VALUE_KINDS = ("count", "real", "label", "paired")
 # start dominates, and 3x faster for one of 13; at 6.6 %, 1.4x slower and
 # 1.8x faster.  These fits used the Ward start; a graph with the view now
 # gets the spectral start by default, so the Gram product's 3-5 % break-even
-# only applies to an explicit hierarchical start.
+# applies to a Ward start that is asked for, or taken because the spectral
+# start failed (fewer classes than Q clear the spectrum's noise).
 CSR_MAX_DENSITY = 0.05
 
 
@@ -108,17 +112,25 @@ def _check_kind(n, directed, value_kind, num_labels):
         raise GraphBuildError("label kind requires num_labels")
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not report them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(need, what, error=GraphBuildError):
+    """Raise ``error`` when ``need`` bytes for ``what`` exceed physical memory."""
+    phys = _physical_memory()
+    if phys is not None and need > phys:
+        raise error(f"{what} needs {need / 2 ** 30:.1f} GiB, "
+                    f"more than the {phys / 2 ** 30:.1f} GiB of physical memory")
+
+
 def _check_dense_size(n, width):
     """Refuse an (n, n, width) float64 array larger than physical memory."""
-    need = n * n * width * 8
-    try:
-        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return  # the platform does not report its memory
-    if need > phys:
-        raise GraphBuildError(
-            f"a dense {n}x{n}x{width} array for n={n} needs {need / 2 ** 30:.1f} GiB, "
-            f"more than the {phys / 2 ** 30:.1f} GiB of physical memory")
+    _check_memory(n * n * width * 8, f"a dense {n}x{n}x{width} array for n={n}")
 
 
 class _Values:
@@ -409,8 +421,9 @@ def _entry_pairs(n, directed, cols, what, value_kind="real", num_labels=None, fi
     with j > i are swapped to match.  Only when some key repeats are the
     entries sorted, checked for conflicting duplicates and reduced to the
     first entry of each pair; keys in increasing order cost one O(m) check.
-    Nothing of size n^2 is allocated unless pairs may be missing, and an
-    (n, n, w) array that would not fit in memory is refused first.
+    Nothing of size n^2 is allocated, missing pairs included (see
+    :func:`_first_missing_pair`), and an (n, n, w) array that would not
+    fit in memory is refused first.
 
     Returns ``(a, b, key, v)``: the indices, flat key and (w,) value of
     each distinct pair, in no particular order.
@@ -449,15 +462,33 @@ def _entry_pairs(n, directed, cols, what, value_kind="real", num_labels=None, fi
 
     n_pairs = n * (n - 1) if directed else n * (n - 1) // 2
     if key.size < n_pairs and fill is None:
-        missing = np.ones(n * n, dtype=bool)
-        missing[key] = False
-        missing = missing.reshape(n, n)
-        np.fill_diagonal(missing, False)
-        if not directed:
-            missing = np.triu(missing)
-        p, q = np.argwhere(missing)[0]
-        raise GraphBuildError(f"missing {what} for pair ({p}, {q})")
+        raise GraphBuildError("missing {} for pair ({}, {})".format(
+            what, *_first_missing_pair(n, directed, key)))
     return a, b, key, v
+
+
+def _first_missing_pair(n, directed, key):
+    """The first pair (p, q) in row-major order, p < q when undirected, whose
+    flat key ``p*n + q`` is not among the distinct keys ``key``.
+
+    Each pair's rank, its position in that order, is computed from its key;
+    the sorted ranks of the given pairs run 0, 1, 2, ... up to the first gap.
+    This costs O(m log m) time and O(m + n) memory for m keys.
+    """
+    a, b = np.divmod(np.sort(key), n)
+    if directed:
+        rank = a * (n - 1) + b - (b > a)
+    else:
+        rank = a * (2 * n - a - 1) // 2 + b - a - 1
+    gap = rank != np.arange(rank.size)
+    t = int(gap.argmax()) if gap.any() else rank.size
+    if directed:
+        p, c = divmod(t, n - 1)
+        return p, c + (c >= p)
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2  # rank of (p, p + 1)
+    p = int(np.searchsorted(starts, t, side="right")) - 1
+    return p, t - int(starts[p]) + p + 1
 
 
 def _scatter(n, directed, pairs, fill=None, swap=False):
@@ -543,6 +574,11 @@ def build_graph(n, directed, entries, value_kind, num_labels=None, fill=None) ->
         On self-loops, out-of-range indices, conflicting duplicates,
         non-finite or out-of-domain values, missing pairs when no fill
         value was given, or a dense array larger than physical memory.
+        The size is checked before anything of size n^2 is allocated, and
+        finding the first missing pair costs O(m log m), so an incomplete
+        list of any size gets its error instead of a failed allocation.
+        The check refuses n^2 * 8 bytes (16 for paired values), even for a
+        graph that would keep only its CSR array.
     """
     _check_kind(n, directed, value_kind, num_labels)
     width = 2 if value_kind == "paired" else 1

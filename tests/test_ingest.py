@@ -192,6 +192,60 @@ def test_errors_name_the_first_offending_entry():
                                 num_labels=3)
 
 
+def _first_missing_by_mask(n, directed, entries):
+    """The first missing pair as an n x n mask over the given pairs finds it."""
+    missing = np.ones((n, n), dtype=bool)
+    for i, j, _ in entries:
+        missing[i, j] = False
+        if not directed:
+            missing[j, i] = False
+    np.fill_diagonal(missing, False)
+    if not directed:
+        missing = np.triu(missing)
+    p, q = np.argwhere(missing)[0]
+    return f"missing entry for pair ({p}, {q})"
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_incomplete_lists_name_the_pair_the_mask_names(directed):
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        pairs = _pairs(n, directed)
+        kept = rng.choice(len(pairs), int(rng.integers(0, len(pairs))), replace=False)
+        entries = [(*pairs[k], 1.0) for k in kept]
+        entries += [entries[k] for k in rng.integers(0, len(entries), 2)] if entries else []
+        if not directed:  # either orientation
+            entries = [(j, i, v) if rng.random() < 0.5 else (i, j, v) for i, j, v in entries]
+        with pytest.raises(GraphBuildError) as info:
+            build_graph(n, directed, entries, "count")
+        assert str(info.value) == _first_missing_by_mask(n, directed, entries)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_a_missing_pair_is_found_without_an_n_squared_mask(directed):
+    n = 5000
+    entries = [(0, 1, 2), (3, 1, 1), (2, 4, 5), (n - 1, n - 2, 1)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphBuildError, match=re.escape("missing entry for pair (0, 2)")):
+            build_graph(n, directed, entries, "count")
+        with pytest.raises(GraphBuildError, match=re.escape("missing entry for pair (0, 1)")):
+            build_graph(n, directed, entries[1:], "count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    # every pair but the last, in each orientation's order
+    n = 300
+    last = (n - 1, n - 2) if directed else (n - 2, n - 1)
+    i, j = np.nonzero(~np.eye(n, dtype=bool)) if directed else np.triu_indices(n, 1)
+    keep = (i != last[0]) | (j != last[1])
+    cols = graph_module.EdgeColumns(i[keep], j[keep], np.ones((int(keep.sum()), 1)))
+    with pytest.raises(GraphBuildError, match=re.escape(f"missing entry for pair {last}")):
+        build_graph(n, directed, cols, "count")
+
+
 VALID = [
     ("blank lines before the header", "edge", "\n  \n\t\ni,j,value\n0,1,2\n1,2,3\n"),
     ("empty body lines", "edge", "i,j,value\n\n0,1,2\n\n\n1,2,3\n\n"),
