@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import io as bio
-from .engine import fit
+from .engine import OUTER_MAX_ITER, OUTER_TOL, fit
 from .errors import BlockfitError, GraphBuildError, InputFormatError, NumericalError
 from .families import FAMILIES, FAMILY_KINDS, FamilySpec
 from .predict import prediction_report
@@ -81,22 +81,30 @@ def _add_common_fit_flags(sub):
     sub.add_argument("--fill", type=float, help="value for unlisted pairs")
     sub.add_argument("--restarts", type=int, default=5)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--max-iter", type=int, default=500)
+    sub.add_argument("--tol", type=float, default=OUTER_TOL)
+    sub.add_argument("--max-iter", type=int, default=OUTER_MAX_ITER)
     sub.add_argument("--init", choices=("auto", "hier", "random", "file"), default="auto",
                      help="start of the first restart: auto (spectral on graphs with a "
                           "CSR view, else hier), hier (Ward linkage), random, or file")
     sub.add_argument("--init-file", help="CSV of n initial labels in 0..Q-1 for --init file")
 
 
-def _covariate_mean(cov):
-    if cov is None:
-        return None
-    off = ~np.eye(cov.y.shape[0], dtype=bool)
-    return [float(m) for m in cov.y[off].mean(axis=0)]
+def _check_seed(seed):
+    if seed is not None and seed < 0:
+        raise _UsageError(f"--seed must be at least 0, got {seed}")
+
+
+def _fit_extra(g, cov):
+    """The graph fields of the fit JSON, with each covariate's mean over the
+    pairs i != j (the diagonal of ``cov.y`` holds zeros)."""
+    mean = None
+    if cov is not None:
+        mean = [float(m) for m in cov.y.sum(axis=(0, 1)) / (g.n * (g.n - 1))]
+    return {"n": g.n, "directed": g.directed, "covariate_mean": mean}
 
 
 def cmd_fit(args):
+    _check_seed(args.seed)
     if args.q < 1:
         raise _UsageError(f"--q must be at least 1, got {args.q}")
     g, cov, spec = _load_inputs(args)
@@ -104,15 +112,15 @@ def cmd_fit(args):
         raise InputFormatError(f"--q {args.q} exceeds the graph's {g.n} nodes")
     result = fit(g, spec, args.q, cov, seed=args.seed, **_fit_options(args, g.n, args.q))
     result.icl = icl(g, spec, result, cov)
-    extra = {"n": g.n, "directed": g.directed, "covariate_mean": _covariate_mean(cov)}
     out = args.out or "fit.json"
-    bio.write_fit_json(out, result, spec, extra=extra)
+    bio.write_fit_json(out, result, spec, extra=_fit_extra(g, cov))
     print(f"fit: Q={args.q} J={result.bound_trajectory[-1]:.4f} "
           f"ICL={result.icl:.4f} converged={result.converged} -> {out}")
     return EXIT_OK
 
 
 def cmd_select(args):
+    _check_seed(args.seed)
     if args.qmin < 1:
         raise _UsageError(f"--qmin must be at least 1, got {args.qmin}")
     if args.qmin > args.qmax:
@@ -132,9 +140,7 @@ def cmd_select(args):
     if result.skipped:
         print(f"sweep stopped: {result.stop_reason}")
     if args.fit_out:
-        best = result.best_fit
-        extra = {"n": g.n, "directed": g.directed, "covariate_mean": _covariate_mean(cov)}
-        bio.write_fit_json(args.fit_out, best, spec, extra=extra)
+        bio.write_fit_json(args.fit_out, result.best_fit, spec, extra=_fit_extra(g, cov))
     print(f"chosen Q = {result.chosen_q} -> {out}")
     return EXIT_OK
 

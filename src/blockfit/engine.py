@@ -47,6 +47,7 @@ SPECTRAL_OVERSAMPLE = 3  # columns iterated beyond the Q kept
 KMEANS_RUNS = 3          # k-means++ seedings of the spectral start; the best is kept
 KMEANS_MAX_ITER = 100
 SPECTRAL_SEED = 20111    # fixed stream: the spectral start depends on (graph, Q) alone
+GRAM_BLOCK = 2 ** 18     # entries in one row block of a CSR graph's Ward Gram matrix
 
 
 @dataclass
@@ -272,10 +273,6 @@ def mstep(graph: ValuedGraph, spec, tau, cov: EdgeCovariates | None = None,
     return MixtureParams(alpha=alpha, theta=theta)
 
 
-def _dense(a):
-    return a.toarray() if sparse.issparse(a) else a
-
-
 def _profile_distances(graph: ValuedGraph) -> np.ndarray:
     """Condensed Euclidean distances between the nodes' edge-value profiles.
 
@@ -283,8 +280,9 @@ def _profile_distances(graph: ValuedGraph) -> np.ndarray:
     the two channels of paired values.  The squared distances are
     sq_i + sq_j - 2 G_ij from the Gram matrix G = A A^T + B B^T, matrix
     products instead of a pairwise loop over the n x 2n profiles.  A
-    symmetric X gives G = 2 X X^T, one product; the graph's CSR view, when
-    it has one, forms it from the non-zero entries before G is made dense.
+    symmetric X gives G = 2 X X^T, one product (numpy runs it as one syrk);
+    the graph's CSR view, when it has one, fills G ``GRAM_BLOCK`` entries at
+    a time, so that no sparse product larger than a block is held beside G.
     """
     from scipy.spatial.distance import squareform
 
@@ -298,10 +296,20 @@ def _profile_distances(graph: ValuedGraph) -> np.ndarray:
             X = graph.sparse_values
             if X is None:
                 X = graph.values
-            G = _dense(X @ X.T)
-            if graph.directed:
-                G += _dense(X.T @ X)
+                G = X @ X.T
+                if graph.directed:
+                    G += X.T @ X
             else:
+                Xt = X.T.tocsr() if graph.directed else X  # symmetric X: its own X^T
+                G = np.empty((graph.n, graph.n))
+                step = max(1, GRAM_BLOCK // graph.n)
+                for i in range(0, graph.n, step):
+                    rows = slice(i, i + step)
+                    (X[rows] @ Xt).toarray(out=G[rows])
+                    if graph.directed:
+                        G[rows] += (Xt[rows] @ X).toarray()
+                del Xt  # not held beside the distances
+            if not graph.directed:
                 G *= 2.0
         sq = G.diagonal().copy()
         G *= -2.0
@@ -317,29 +325,18 @@ def _ward_peak_bytes(graph: ValuedGraph) -> int:
     """Bytes the Ward start allocates at its peak, beyond the graph itself.
 
     The dense Gram matrix G (8 n^2) and the condensed distances that
-    squareform copies out of it (4 n^2) give 12 n^2 undirected, and 16 n^2
-    when G sums two products (directed or paired); the linkage then holds
-    the distances and its own copy (8 n^2).  A graph with a CSR view also
-    holds each sparse product beside the dense G: at most
-    s = min(n^2, sum_k c_k^2) entries of a value and an index each for
-    X X^T, with c_k the non-zeros of column k, and row counts for X^T X.
-    Checked with tracemalloc at n = 1,500 and 2,000 on dense and CSR
-    graphs of both orientations: never below the measured peak, and at
-    most 1.2 n^2 bytes above it.
+    squareform copies out of it (4 n^2) give 12 n^2, and 16 n^2 when dense
+    values sum two whole products (directed or paired); the linkage then
+    holds the distances and its own copy (8 n^2).  A graph with a CSR view
+    fills G in row blocks, and a block's sparse product and dense copy
+    (at most 24 bytes an entry) are allowed for on top; a directed graph's
+    transposed CSR copy (at most 5 % of n^2 entries) is freed before the
+    distances are made.
     """
     n = graph.n
-    two = graph.directed or graph.value_kind == "paired"
-    peak = (16 if two else 12) * n * n
-    X = None if graph.value_kind == "paired" else graph.sparse_values
-    if X is not None:
-        def product(counts):
-            s = min(n * n, int(np.square(counts, dtype=np.int64).sum()))
-            return s * (12 if s < 2 ** 31 else 16)  # int32 indices below 2^31 entries
-
-        peak = max(peak, 8 * n * n + product(np.bincount(X.indices, minlength=n)))
-        if graph.directed:
-            peak = max(peak, 16 * n * n + product(np.diff(X.indptr)))
-    return peak
+    if graph.value_kind != "paired" and graph.sparse_values is not None:
+        return 12 * n * n + 24 * GRAM_BLOCK
+    return (16 if graph.directed or graph.value_kind == "paired" else 12) * n * n
 
 
 def _ward_labels(graph: ValuedGraph, Q: int) -> np.ndarray:
@@ -493,12 +490,12 @@ def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
     stay below 2**53, so the distances, the linkage and the labels are
     bit-identical to ``linkage(profile, "ward")``; for real values they agree
     to rounding.  The hierarchical start raises ValueError when its 12-16
-    n^2 bytes would exceed physical memory, checked before any of them is
-    allocated, and when profiles whose squared distances overflow make the
-    linkage refuse its non-finite distances, as it did on the profiles
-    themselves.  scipy's clustering modules are imported on the first
-    hierarchical start (see :func:`_ward_labels`), so the other starts never
-    load them.
+    n^2 bytes (:func:`_ward_peak_bytes`) would exceed physical memory,
+    checked before any is allocated, and when profiles whose squared
+    distances overflow make the linkage refuse its non-finite distances, as
+    it did on the profiles themselves.  scipy's clustering modules are
+    imported on the first hierarchical start (see :func:`_ward_labels`), so
+    the other starts never load them.
     """
     n = graph.n
     if Q < 1 or Q > n:
@@ -600,7 +597,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     hierarchical one otherwise; ``"hierarchical"``, ``"random"`` or a label
     vector ask for that start.  A spectral start that fails is replaced by
     the hierarchical one, and a hierarchical start that fails, because its
-    n^2 arrays would not fit in physical memory or its linkage refuses the
+    12-16 n^2 bytes exceed physical memory or its linkage refuses the
     profiles, by a random one, each noted with its reason in
     ``diagnostics["init_fallback"]``; ``diagnostics["init"]`` names the
     start taken (``spectral``, ``hierarchical``, ``given`` or ``random``).

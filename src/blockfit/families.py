@@ -729,8 +729,7 @@ class _PoissonRegFamily(_Family):
                 return DecomposedScores([X, E], [_safe_log(params.lam), -params.lam],
                                         directed, fixed=fixed)
         else:
-            M = _offdiag_mask(graph.n)
-            base = -gammaln(X + 1.0) * M
+            base = -gammaln(X + 1.0)  # DenseScores zeroes the diagonal
 
             def make(params):
                 Q = params.Q
@@ -740,7 +739,7 @@ class _PoissonRegFamily(_Family):
                 for q in range(Q):
                     for l in range(Q):
                         g = Y @ params.beta[q, l]
-                        L[q, l] = X * (loglam[q, l] + g) - params.lam[q, l] * np.exp(g) * M + base
+                        L[q, l] = X * (loglam[q, l] + g) - params.lam[q, l] * np.exp(g) + base
                 return DenseScores(L, directed)
 
         return make
@@ -864,10 +863,10 @@ class _MultinomialFamily(_StatFamily):
 
     def statistics(self, graph, cov):
         # all m indicators: folding one into the mask would give
-        # (log p_k - LOG_ZERO) coefficients when p_m = 0
-        M = _offdiag_mask(graph.n)
+        # (log p_k - LOG_ZERO) coefficients when p_m = 0; the diagonal
+        # holds 0, which is no label
         X = graph.scalar_values
-        return [(X == k).astype(float) * M for k in range(1, self.spec.num_labels + 1)]
+        return [(X == k).astype(float) for k in range(1, self.spec.num_labels + 1)]
 
     def coefficients(self, params):
         return [_safe_log(params.probs[:, :, k]) for k in range(self.spec.num_labels)], None

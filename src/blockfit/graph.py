@@ -16,14 +16,14 @@ a graph also offers its scalar values as a cached CSR array
 (:attr:`ValuedGraph.sparse_values`), from which the Poisson and Bernoulli
 statistics, the spectral start that ``engine.fit`` takes on such a graph,
 ICL and prediction read only the non-zero entries.  The Ward start, asked
-for or taken when the spectral start fails, forms its Gram product from
-them too, but still allocates 12-16 n^2 bytes for that product and the
-distances, which ``engine`` checks against physical memory first.  A count graph that
-:func:`build_graph` assembles from entries below that density keeps only
-this CSR array: its dense ``values`` are built from it on first read, so
-such a graph loads, fits and reports in O(nnz) memory.  Every other graph
-stores its dense values, and one made from them builds the CSR array on
-first use.
+for or taken when the spectral start fails, forms its Gram products from
+them too, one block of rows at a time, but still allocates about 12 n^2
+bytes for the dense Gram matrix and the distances, which ``engine`` checks
+against physical memory first.  A count graph that :func:`build_graph`
+assembles from entries below that density keeps only this CSR array: its
+dense ``values`` are built from it on first read, so such a graph loads,
+fits and reports in O(nnz) memory.  Every other graph stores its dense
+values, and one made from them builds the CSR array on first use.
 """
 
 from __future__ import annotations

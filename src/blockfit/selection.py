@@ -124,8 +124,9 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
     Q left are not fitted: they are absent from ``records`` and listed in
     ``skipped``.  Ties break toward smaller Q; per-Q restart streams are
     seeded from (seed, Q), so each fitted Q gets the fit a full sweep
-    gives it.  Failed fits are recorded with ICL = -inf instead of
-    aborting the sweep.
+    gives it; a negative integer seed, which no stream takes, is refused
+    before the first fit.  Failed fits are recorded with ICL = -inf
+    instead of aborting the sweep.
     """
     q_list = []
     for q in q_range:
@@ -136,6 +137,8 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
         q_list.append(int(q))
     if not q_list or sorted(q_list) != q_list:
         raise ValueError("q_range must be nonempty and ascending")
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     opts = dict(fit_options or {})
     opts.pop("seed", None)
 

@@ -56,9 +56,10 @@ class GridConfig:
     """One cell of the simulation grid.
 
     Every way in (Python, ``blockfit simulate``) is checked here: ``n``,
-    ``q_star`` and ``s`` are integers and ``seed`` an integer or None (an
-    integral float is taken as its int); ``a``, ``lam`` and ``gamma_ratio``
-    are finite real numbers, stored as floats.  A bool is neither.
+    ``q_star`` and ``s`` are integers and ``seed`` a non-negative integer
+    or None (an integral float is taken as its int); ``a``, ``lam`` and
+    ``gamma_ratio`` are finite real numbers, stored as floats.  A bool is
+    neither.
     """
 
     n: int
@@ -82,6 +83,8 @@ class GridConfig:
             raise ValueError("lam and gamma_ratio must be > 0")
         if self.s < 1 or self.n < 2 or self.q_star < 1:
             raise ValueError("need s >= 1, n >= 2, q_star >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass

@@ -248,6 +248,18 @@ def test_cli_simulate_refuses_a_bool_for_a_real_config_value(tmp_path, capsys, k
     assert not out.exists()
 
 
+def test_cli_simulate_refuses_a_negative_seed(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"n": 25, "a": 1.0, "lambda": 4.0, "gamma": 0.1, "s": 2,
+                               "seed": -1}))
+    out = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "blockfit: input error: bad grid config: seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
 def test_cli_simulate_refuses_an_unknown_mode_in_the_config(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("n = 20\na = 1.0\nlambda = 3.0\ngamma = 0.1\nmode = bogus\n")
@@ -305,6 +317,15 @@ def test_cli_usage_errors_come_before_reading_files(tmp_path):
     missing = str(tmp_path / "missing.csv")
     assert main(["fit", "--edges", missing, "--q", "0"]) == 2
     assert main(["select", "--edges", missing, "--qmin", "2", "--qmax", "1"]) == 2
+
+
+@pytest.mark.parametrize("command", [["fit", "--q", "2"], ["select", "--qmax", "3"]],
+                         ids=["fit", "select"])
+def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    """numpy takes no negative seed; it is refused before any file is read."""
+    capsys.readouterr()
+    assert main(command + ["--edges", str(tmp_path / "missing.csv"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "blockfit: usage error: --seed must be at least 0, got -1\n"
 
 
 def test_cli_fit_from_a_label_file_matches_the_library(tmp_path):

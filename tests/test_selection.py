@@ -110,6 +110,20 @@ def test_select_q_refuses_fractional_and_repeated_q(q_range, message):
         bf.select_q(g, POISSON, q_range)
 
 
+def test_select_q_refuses_a_negative_seed_before_its_first_fit(monkeypatch):
+    """Every fit would refuse the seed, which the sweep reported only as
+    "every Q in the sweep failed to fit"."""
+    params = MixtureParams(alpha=np.array([1.0]), theta=PoissonParams(lam=np.array([[2.0]])))
+    g, _ = bf.sample_graph(params, 5, False, POISSON, seed=4)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("select_q fitted before it checked the seed")
+
+    monkeypatch.setattr(selection, "fit", no_fit)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        bf.select_q(g, POISSON, range(1, 3), seed=-1)
+
+
 def test_select_q_accepts_seed_sequences_and_keeps_integer_streams():
     params = MixtureParams(alpha=np.array([0.5, 0.5]),
                            theta=PoissonParams(lam=np.array([[4.0, 1.0], [1.0, 3.0]])))

@@ -88,6 +88,25 @@ def test_the_checked_bytes_cover_the_ward_start(make):
     assert peak <= 1.01 * engine._ward_peak_bytes(g)
 
 
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_a_csr_graphs_gram_matrix_is_filled_without_a_whole_sparse_product(directed):
+    """Near 5 % density, a whole sparse product X X^T held beside the dense
+    Gram matrix took the start to 18.8 n^2 bytes (26.8 n^2 directed); row
+    blocks keep it near the 12 n^2 of G and its condensed copy."""
+    n = 2000
+    g = sparse_graph(n, directed=directed, lam=0.05)
+    assert 0.04 < g.sparse_values.nnz / (n * n) <= 0.05
+    init_partition(g, 3, strategy="hierarchical")
+    tracemalloc.start()
+    try:
+        init_partition(g, 3, strategy="hierarchical")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.7 * n * n
+    assert peak <= engine._ward_peak_bytes(g)
+
+
 def test_fit_on_a_dense_graph_falls_back_to_random_when_ward_would_not_fit(monkeypatch):
     g = dense_graph(60)
     want = bf.fit(g, POISSON, 3, restarts=2, seed=5, init="random")
