@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import io as bio
-from .engine import OUTER_MAX_ITER, OUTER_TOL, fit
+from .engine import OUTER_MAX_ITER, OUTER_TOL, check_seed, fit
 from .errors import BlockfitError, GraphBuildError, InputFormatError, NumericalError
 from .families import FAMILIES, FAMILY_KINDS, FamilySpec
 from .predict import prediction_report
@@ -90,8 +90,10 @@ def _add_common_fit_flags(sub):
 
 
 def _check_seed(seed):
-    if seed is not None and seed < 0:
-        raise _UsageError(f"--seed must be at least 0, got {seed}")
+    try:
+        check_seed(seed)
+    except ValueError as exc:
+        raise _UsageError(f"--{exc}") from None
 
 
 def _fit_extra(g, cov):

@@ -48,6 +48,8 @@ KMEANS_RUNS = 3          # k-means++ seedings of the spectral start; the best is
 KMEANS_MAX_ITER = 100
 SPECTRAL_SEED = 20111    # fixed stream: the spectral start depends on (graph, Q) alone
 GRAM_BLOCK = 2 ** 18     # entries in one row block of a CSR graph's Ward Gram matrix
+# the start a fit takes when its first start fails with ValueError
+START_FALLBACK = {"spectral": "hierarchical", "hierarchical": "random"}
 
 
 @dataclass
@@ -56,7 +58,7 @@ class MixtureParams:
 
     alpha: np.ndarray
     theta: object
-    Q: int = 0
+    Q: int = field(init=False)  # alpha.size
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
@@ -467,6 +469,23 @@ def _kmeans(points: np.ndarray, Q: int, rng) -> np.ndarray:
     return best
 
 
+def check_seed(seed) -> None:
+    """ValueError for a negative integer seed, which no random stream takes;
+    any other seed is left to :func:`numpy.random.default_rng`."""
+    if isinstance(seed, (int, numbers.Integral)) and seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+
+
+def substream(seed, key: int):
+    """Seed of sub-stream ``key`` of ``seed``: None for None, ``[seed, key]``
+    for an integer, else the SeedSequence of ``default_rng(seed)`` with
+    ``key`` appended to its spawn key."""
+    if seed is None or isinstance(seed, numbers.Integral):
+        return None if seed is None else [int(seed), key]
+    parent = np.random.default_rng(seed).bit_generator.seed_seq
+    return np.random.SeedSequence(parent.entropy, spawn_key=(*parent.spawn_key, key))
+
+
 def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
                    seed=None, labels=None) -> VariationalPosterior:
     """Initial tau as a softened hard partition (0.95 on the assigned class).
@@ -476,7 +495,8 @@ def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
     at Q groups; ``spectral`` runs k-means on a regularized spectral
     embedding (see :func:`_spectral_embedding` and :func:`_kmeans`), in
     O(nnz) per product on a graph with a CSR view; ``random`` draws labels
-    uniformly; ``given`` softens the supplied label vector.
+    uniformly from ``default_rng(seed)`` (:func:`check_seed`); ``given``
+    softens the supplied label vector.  Fallbacks are :func:`fit`'s.
 
     The spectral start draws from a fixed stream, so, like the hierarchical
     one, it depends on (graph, Q) alone.  It raises ValueError when every
@@ -502,12 +522,13 @@ def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
         raise ValueError(f"Q must lie in 1..n, got {Q}")
     if Q == 1:
         return VariationalPosterior(tau=np.ones((n, 1)))
-    if strategy in ("hier", "hierarchical"):
+    if strategy == "hierarchical":
         labels = _ward_labels(graph, Q)
     elif strategy == "spectral":
         rng = np.random.default_rng(SPECTRAL_SEED)
         labels = _kmeans(_spectral_embedding(graph, Q, rng), Q, rng)
     elif strategy == "random":
+        check_seed(seed)
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, Q, size=n)
     elif strategy == "given":
@@ -572,20 +593,6 @@ def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, workspace=None):
     }
 
 
-def spawn_seed(seed, key: int) -> np.random.SeedSequence:
-    """Seed of sub-stream ``key`` of any seed :func:`numpy.random.default_rng`
-    takes; the same (seed, key) always gives the same stream."""
-    parent = np.random.default_rng(seed).bit_generator.seed_seq
-    return np.random.SeedSequence(parent.entropy, spawn_key=(*parent.spawn_key, key))
-
-
-def _restart_rng(seed, r):
-    """Generator of restart r: integer seeds keep the stream of [seed, r]."""
-    if seed is None or isinstance(seed, numbers.Integral):
-        return np.random.default_rng(None if seed is None else [int(seed), r])
-    return np.random.default_rng(spawn_seed(seed, r))
-
-
 def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
         init: str = "auto", restarts: int = 5,
         seed=None, tol: float = OUTER_TOL, max_outer: int = OUTER_MAX_ITER) -> FitResult:
@@ -594,28 +601,30 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     The first restart uses the requested ``init`` strategy.  The default,
     ``"auto"``, takes the spectral start of :func:`init_partition` on a
     graph with a CSR view (``graph.sparse_values`` is not None) and the
-    hierarchical one otherwise; ``"hierarchical"``, ``"random"`` or a label
-    vector ask for that start.  A spectral start that fails is replaced by
-    the hierarchical one, and a hierarchical start that fails, because its
-    12-16 n^2 bytes exceed physical memory or its linkage refuses the
-    profiles, by a random one, each noted with its reason in
-    ``diagnostics["init_fallback"]``; ``diagnostics["init"]`` names the
-    start taken (``spectral``, ``hierarchical``, ``given`` or ``random``).
-    Only a hierarchical start, asked for or taken as a fallback, imports
-    scipy's clustering modules, on its first use.
-    The remaining restarts use random partitions seeded from ``seed``,
-    which may be anything :func:`numpy.random.default_rng` accepts.  The
-    fit with the highest final bound is returned (the earliest one when
-    bounds agree to 1e-12 relative), with classes relabeled in descending
-    estimated-proportion order.
+    hierarchical one otherwise; ``"hierarchical"`` (or ``"hier"``),
+    ``"random"`` or a label vector ask for that start.  A start that fails
+    with ValueError gives way to the next of ``START_FALLBACK``: spectral
+    to hierarchical, and hierarchical (its 12-16 n^2 bytes exceed physical
+    memory, or its linkage refuses the profiles) to random, each step noted
+    with its reason in ``diagnostics["init_fallback"]``;
+    ``diagnostics["init"]`` names the start taken.  Only a hierarchical
+    start imports scipy's clustering modules, on its first use.
+    Restart r of the rest draws a random partition from
+    ``default_rng(substream(seed, r))``, ``[seed, r]`` for an integer
+    seed.  A negative integer seed (:func:`check_seed`) or a Q outside
+    1..n raises ValueError before any start.  The fit with the highest
+    final bound is returned (the earliest one when bounds agree to 1e-12
+    relative), with classes relabeled in descending estimated-proportion
+    order.
 
     Raises
     ------
     NumericalError
         If every restart fails with a numerical/family error.
     """
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
+    check_seed(seed)
+    if not 1 <= Q <= graph.n:
+        raise ValueError(f"Q must lie in 1..n, got {Q}")
     fam = families.get_family(spec)
     fam.check_graph(graph, cov)
     workspace = fam.mstep_workspace(graph, cov)
@@ -624,36 +633,27 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     labels = None
     if not isinstance(init, str):
         labels, init = init, "given"
+    elif init not in ("auto", "hier", "hierarchical", "random"):
+        raise ValueError(f"unknown init strategy {init!r}")
+    elif init == "auto":
+        init = "hierarchical" if graph.sparse_values is None else "spectral"
     elif init == "hier":
         init = "hierarchical"
-    elif init not in ("auto", "hierarchical", "random"):
-        raise ValueError(f"unknown init strategy {init!r}")
-    if init == "auto":
-        init = "hierarchical" if graph.sparse_values is None else "spectral"
 
-    inits = []
-    fallbacks = []
-    if init == "spectral":
+    inits, fallbacks = [], []
+    while init in START_FALLBACK:
         try:
-            inits.append(init_partition(graph, Q, strategy="spectral").tau)
+            inits.append(init_partition(graph, Q, strategy=init).tau)
+            break
         except ValueError as exc:
-            fallbacks.append(f"spectral start failed, hierarchical start used: {exc}")
-            init = "hierarchical"
-    if init == "hierarchical":
-        try:
-            inits.append(init_partition(graph, Q, strategy="hierarchical").tau)
-        except ValueError as exc:
-            # too large for memory, or distances that overflow and the linkage refuses
-            fallbacks.append(f"hierarchical start failed, random start used: {exc}")
-            init = "random"
-    elif init == "given":
+            fallbacks.append(f"{init} start failed, {START_FALLBACK[init]} start used: {exc}")
+            init = START_FALLBACK[init]
+    if init == "given":
         inits.append(init_partition(graph, Q, strategy="given", labels=labels).tau)
     for r in range(len(inits), max(1, restarts)):
-        inits.append(init_partition(graph, Q, strategy="random",
-                                    seed=_restart_rng(seed, r)).tau)
+        inits.append(init_partition(graph, Q, strategy="random", seed=substream(seed, r)).tau)
 
-    runs = []
-    failures = []
+    runs, failures = [], []
     estep_counts = dict.fromkeys(("estep_unconverged", "estep_sweeps", "estep_backtracks"), 0)
     for r, tau0 in enumerate(inits):
         try:

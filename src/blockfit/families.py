@@ -500,6 +500,11 @@ def _block_weights(tau, n):
     return W, degen
 
 
+def _floor_variance(v):
+    """A variance estimate held at or above ``VAR_FLOOR``."""
+    return np.maximum(v, VAR_FLOOR)
+
+
 def _weighted_ratio(num, W, degen):
     out = np.zeros_like(num, dtype=float)
     np.divide(num, W, out=out, where=~degen if num.ndim == 2 else ~degen[..., None])
@@ -917,7 +922,7 @@ class _GaussianFamily(_StatFamily):
     def estimate(self, T, W, degen):
         mu = _weighted_ratio(T[0], W, degen)
         ex2 = _weighted_ratio(T[1], W, degen)
-        return {"mu": mu, "sigma2": np.maximum(ex2 - mu * mu, VAR_FLOOR)}
+        return {"mu": mu, "sigma2": _floor_variance(ex2 - mu * mu)}
 
     def sample_matrix(self, params, z, rng, cov, directed):
         mu = _blockify(params.mu, z)
@@ -969,8 +974,8 @@ class _BivariateGaussianFamily(_StatFamily):
         e11, e22, e12, m1, m2 = (_weighted_ratio(t, W, degen) for t in T)
         mu = np.stack([m1, m2], axis=-1)
         covm = np.empty(W.shape + (2, 2))
-        covm[..., 0, 0] = np.maximum(e11 - m1 * m1, VAR_FLOOR)
-        covm[..., 1, 1] = np.maximum(e22 - m2 * m2, VAR_FLOOR)
+        covm[..., 0, 0] = _floor_variance(e11 - m1 * m1)
+        covm[..., 1, 1] = _floor_variance(e22 - m2 * m2)
         covm[..., 0, 1] = covm[..., 1, 0] = e12 - m1 * m2
         # keep determinants positive against rounding
         det = covm[..., 0, 0] * covm[..., 1, 1] - covm[..., 0, 1] ** 2
@@ -1056,7 +1061,7 @@ class _LinearRegressionFamily(_StatFamily):
                     raise SingularBlockError((q, l)) from None
                 beta[q, l] = b
                 rss = ex2[q, l] - 2.0 * b @ r[q, l] + b @ G[q, l] @ b
-                sigma2[q, l] = max(rss / W[q, l], VAR_FLOOR)
+                sigma2[q, l] = _floor_variance(rss / W[q, l])
         return {"beta": beta, "sigma2": sigma2}
 
     def sample_matrix(self, params, z, rng, cov, directed):
@@ -1121,7 +1126,7 @@ class _SimpleRegressionFamily(_StatFamily):
         # sigma2: weighted residual moment pooled over all blocks and edges
         rss = (sxx - 2 * a * sx - 2 * b * sxy + a * a * W
                + 2 * a * b * sy + b * b * syy)
-        sigma2 = max(np.where(ok, rss, 0.0).sum() / max(W.sum(), 1e-300), VAR_FLOOR)
+        sigma2 = _floor_variance(np.where(ok, rss, 0.0).sum() / max(W.sum(), 1e-300))
         return {"intercept": a, "slope": b, "sigma2": sigma2}
 
     def sample_matrix(self, params, z, rng, cov, directed):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .engine import FitResult, complete_data_loglik, fit, mstep, spawn_seed
+from .engine import FitResult, check_seed, complete_data_loglik, fit, mstep, substream
 from .errors import BlockfitError, NumericalError
 from .graph import EdgeCovariates, ValuedGraph
 
@@ -122,11 +122,12 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
     not one, because ICL sometimes dips once and then rises above its
     best, but was not seen to after two dips (module docstring).  The
     Q left are not fitted: they are absent from ``records`` and listed in
-    ``skipped``.  Ties break toward smaller Q; per-Q restart streams are
-    seeded from (seed, Q), so each fitted Q gets the fit a full sweep
-    gives it; a negative integer seed, which no stream takes, is refused
-    before the first fit.  Failed fits are recorded with ICL = -inf
-    instead of aborting the sweep.
+    ``skipped``.  Ties break toward smaller Q; Q is fitted with seed
+    ``seed * 1000 + Q`` (``substream(seed, Q)`` for a non-integer seed),
+    so it gets the fit a full sweep gives it.  A negative integer seed is
+    refused before the first fit, and a ``"seed"`` in ``fit_options``, which
+    go to :func:`engine.fit` as they are, raises TypeError.  Failed fits are
+    recorded with ICL = -inf instead of aborting the sweep.
     """
     q_list = []
     for q in q_range:
@@ -137,21 +138,15 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
         q_list.append(int(q))
     if not q_list or sorted(q_list) != q_list:
         raise ValueError("q_range must be nonempty and ascending")
-    if isinstance(seed, numbers.Integral) and seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
-    opts = dict(fit_options or {})
-    opts.pop("seed", None)
+    check_seed(seed)
 
     records = []
     for q in q_list:
         if _misses(records) == STOP_AFTER_MISSES:
             break
-        if seed is None or isinstance(seed, numbers.Integral):
-            seed_q = None if seed is None else int(seed) * 1000 + q
-        else:
-            seed_q = spawn_seed(seed, q)
+        seed_q = int(seed) * 1000 + q if isinstance(seed, numbers.Integral) else substream(seed, q)
         try:
-            fr = fit(graph, spec, q, cov, seed=seed_q, **opts)
+            fr = fit(graph, spec, q, cov, seed=seed_q, **(fit_options or {}))
             fr.icl = icl(graph, spec, fr, cov, edge_count=edge_count)
             records.append(SelectionRecord(q=q, fit=fr, icl=fr.icl))
         except (BlockfitError, ValueError, np.linalg.LinAlgError) as exc:

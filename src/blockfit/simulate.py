@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .engine import MixtureParams, fit
+from .engine import MixtureParams, check_seed, fit, substream
 from .errors import BlockfitError, FamilyError, NumericalError
 from .families import FamilySpec, PoissonParams
 from .graph import EdgeCovariates, ValuedGraph
@@ -57,9 +57,9 @@ class GridConfig:
 
     Every way in (Python, ``blockfit simulate``) is checked here: ``n``,
     ``q_star`` and ``s`` are integers and ``seed`` a non-negative integer
-    or None (an integral float is taken as its int); ``a``, ``lam`` and
-    ``gamma_ratio`` are finite real numbers, stored as floats.  A bool is
-    neither.
+    or None (an integral float is taken as its int; :func:`check_seed`);
+    ``a``, ``lam`` and ``gamma_ratio`` are finite real numbers, stored as
+    floats.  A bool is neither.
     """
 
     n: int
@@ -83,8 +83,7 @@ class GridConfig:
             raise ValueError("lam and gamma_ratio must be > 0")
         if self.s < 1 or self.n < 2 or self.q_star < 1:
             raise ValueError("need s >= 1, n >= 2, q_star >= 1")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -166,11 +165,6 @@ def rmse(estimates, truth) -> np.ndarray:
     return np.sqrt(np.mean((est - truth) ** 2, axis=0))
 
 
-def _replicate_seed(config, r):
-    base = 0 if config.seed is None else int(config.seed)
-    return [base, r]
-
-
 def run_experiment(config: GridConfig, spec: FamilySpec | None = None,
                    mode: str = "estimation", *, q_max: int | None = None,
                    fit_options: dict | None = None) -> ExperimentReport:
@@ -184,6 +178,9 @@ def run_experiment(config: GridConfig, spec: FamilySpec | None = None,
     Q is chosen.  Replicates whose fit
     fails are dropped and counted.  The grid is Poisson, so ``spec`` must be
     the ``poisson`` family (the default); any other raises ``FamilyError``.
+    Replicate r samples from ``substream(seed, r)`` and fits with seed
+    ``seed * 100003 + r`` (seed 0 for None); a ``"seed"`` in
+    ``fit_options``, which are passed on as they are, raises TypeError.
     """
     spec = spec or FamilySpec("poisson")
     if mode not in MODES:
@@ -192,17 +189,17 @@ def run_experiment(config: GridConfig, spec: FamilySpec | None = None,
         raise FamilyError(f"the simulation grid is Poisson; family {spec.kind!r} cannot fit it")
     truth = grid_params(config.a, config.lam, config.gamma_ratio, config.q_star)
     fam = families.get_family(spec)
-    opts = dict(fit_options or {})
-    opts.pop("seed", None)
+    opts = fit_options or {}
     if q_max is None:
         q_max = 5 if config.n >= 1000 else 10
+    base = 0 if config.seed is None else config.seed
 
     results, failed = [], 0
     for r in range(config.s):
-        fit_seed = (0 if config.seed is None else int(config.seed)) * 100003 + r
+        fit_seed = base * 100003 + r
         try:
             g, _ = sample_graph(truth, config.n, directed=False, spec=spec,
-                                seed=_replicate_seed(config, r))
+                                seed=substream(base, r))
             if mode == "estimation":
                 fr = fit(g, spec, config.q_star, seed=fit_seed, **opts)
                 results.append((fr.params.alpha, fam.block_means(fr.params.theta),
