@@ -520,6 +520,16 @@ def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
     n = graph.n
     if Q < 1 or Q > n:
         raise ValueError(f"Q must lie in 1..n, got {Q}")
+    if strategy not in ("hierarchical", "spectral", "random", "given"):
+        raise ValueError(f"unknown init strategy {strategy!r}")
+    if strategy == "random":
+        check_seed(seed)
+    if strategy == "given":
+        if labels is None:
+            raise ValueError("strategy 'given' requires a label vector")
+        labels = np.asarray(labels, dtype=int)
+        if labels.shape != (n,) or labels.min() < 0 or labels.max() >= Q:
+            raise ValueError("labels must be length n with values in 0..Q-1")
     if Q == 1:
         return VariationalPosterior(tau=np.ones((n, 1)))
     if strategy == "hierarchical":
@@ -528,17 +538,7 @@ def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
         rng = np.random.default_rng(SPECTRAL_SEED)
         labels = _kmeans(_spectral_embedding(graph, Q, rng), Q, rng)
     elif strategy == "random":
-        check_seed(seed)
-        rng = np.random.default_rng(seed)
-        labels = rng.integers(0, Q, size=n)
-    elif strategy == "given":
-        if labels is None:
-            raise ValueError("strategy 'given' requires a label vector")
-        labels = np.asarray(labels, dtype=int)
-        if labels.shape != (n,) or labels.min() < 0 or labels.max() >= Q:
-            raise ValueError("labels must be length n with values in 0..Q-1")
-    else:
-        raise ValueError(f"unknown init strategy {strategy!r}")
+        labels = np.random.default_rng(seed).integers(0, Q, size=n)
     tau = np.full((n, Q), 0.05 / (Q - 1))
     tau[np.arange(n), labels] = 0.95
     return VariationalPosterior(tau=tau)
@@ -570,6 +570,7 @@ def _run_em(graph, spec, scorer, tau0, cov, tol, max_outer, workspace=None):
         sweeps += est_sweeps
         backtracks += est_backtracks
         traj.append(_bound_from_ops(ops, tau, log_alpha))
+        ops = None  # the next scores are built without the old ones alive
         params = mstep(graph, spec, tau, cov, prev=params.theta, workspace=workspace)
         ops = scorer(params.theta)
         log_alpha = _log_alpha(params.alpha)
@@ -601,14 +602,15 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     The first restart uses the requested ``init`` strategy.  The default,
     ``"auto"``, takes the spectral start of :func:`init_partition` on a
     graph with a CSR view (``graph.sparse_values`` is not None) and the
-    hierarchical one otherwise; ``"hierarchical"`` (or ``"hier"``),
-    ``"random"`` or a label vector ask for that start.  A start that fails
-    with ValueError gives way to the next of ``START_FALLBACK``: spectral
-    to hierarchical, and hierarchical (its 12-16 n^2 bytes exceed physical
-    memory, or its linkage refuses the profiles) to random, each step noted
-    with its reason in ``diagnostics["init_fallback"]``;
-    ``diagnostics["init"]`` names the start taken.  Only a hierarchical
-    start imports scipy's clustering modules, on its first use.
+    hierarchical one otherwise; ``"spectral"``, ``"hierarchical"`` (or
+    ``"hier"``), ``"random"`` or a label vector ask for that start.  A
+    start that fails with ValueError gives way to the next of
+    ``START_FALLBACK``: spectral to hierarchical, and hierarchical (its
+    12-16 n^2 bytes exceed physical memory, or its linkage refuses the
+    profiles) to random, each step noted with its reason in
+    ``diagnostics["init_fallback"]``; ``diagnostics["init"]`` names the
+    start taken.  Only a hierarchical start imports scipy's clustering
+    modules, on its first use.
     Restart r of the rest draws a random partition from
     ``default_rng(substream(seed, r))``, ``[seed, r]`` for an integer
     seed.  A negative integer seed (:func:`check_seed`) or a Q outside
@@ -633,7 +635,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     labels = None
     if not isinstance(init, str):
         labels, init = init, "given"
-    elif init not in ("auto", "hier", "hierarchical", "random"):
+    elif init not in {"auto", "hier", *START_FALLBACK, *START_FALLBACK.values()}:
         raise ValueError(f"unknown init strategy {init!r}")
     elif init == "auto":
         init = "hierarchical" if graph.sparse_values is None else "spectral"

@@ -2,18 +2,20 @@
 
 Every family answers three questions for the fitting engine:
 
-* scoring -- log f_ql(X_ij) for all blocks (q, l) and pairs (i, j), either
-  as a sum-of-products decomposition  log f_ql(X_ij) = sum_k S_k[i,j] C_k[q,l]
-  (cheap matrix products) or, when no such split exists, as a dense
-  (Q, Q, n, n) tensor.  A decomposition keeps only the statistics whose
-  coefficient varies with the block as n x n arrays: the off-diagonal
-  indicator becomes a (Q, Q) ``mask`` coefficient scored in closed form,
-  and every term that is the same for all blocks (-log X!, PRMH's X * g,
-  simplereg's shared-slope terms) is summed once into the scalar ``fixed``,
-  which the E-step's softmax never needs.  Poisson thus costs one n x n
-  product per E-sweep and orientation, and Poisson and Bernoulli take the
-  graph's CSR view as their statistic when it has one, which makes that
-  product and every block sum O(nnz Q);
+* scoring -- log f_ql(X_ij) for all blocks (q, l) and pairs (i, j), for
+  every family as a sum-of-products decomposition
+  log f_ql(X_ij) = sum_k S_k[i,j] C_k[q,l]  (cheap matrix products, see
+  :class:`DecomposedScores`).  PRMI, whose log-density has no block-free
+  statistic, takes one statistic per block with a one-hot coefficient.
+  A decomposition keeps only the statistics whose coefficient varies with
+  the block as n x n arrays: the off-diagonal indicator becomes a (Q, Q)
+  ``mask`` coefficient scored in closed form, and every term that is the
+  same for all blocks (-log X!, PRMH's X * g, simplereg's shared-slope
+  terms) is summed once into the scalar ``fixed``, which the E-step's
+  softmax never needs.  Poisson thus costs one n x n product per E-sweep
+  and orientation, and Poisson and Bernoulli take the graph's CSR view as
+  their statistic when it has one, which makes that product and every
+  block sum O(nnz Q);
 * estimation -- the maximizer of the weighted log-likelihood
   sum_{i != j} tau_iq tau_jl log f_ql(X_ij).  One driver,
   :meth:`_Family.weighted_mle`, serves every family: it takes the block
@@ -322,6 +324,13 @@ class DecomposedScores:
       row of the node scores by a constant, which cancels in the softmax,
       so :meth:`node_scores` leaves it out; :meth:`edge_term` adds it once
       (tau rows sum to 1).
+
+    A coefficient with a row of zeros (PRMI's one-hot coefficients, one per
+    block) takes one matrix-vector product per non-zero row,
+    D^T[r] += S (tau C[r]), instead of a product over all Q rows; for
+    directed graphs likewise one per non-zero column on the transposed
+    side, (tau C[:, c]) S.  Which rows and columns those are is decided
+    once, here; a coefficient without zeros costs one count.
     """
 
     def __init__(self, stats, coeffs, directed, mask=None, fixed=0.0):
@@ -330,6 +339,7 @@ class DecomposedScores:
         self.directed = directed
         self.mask = None if mask is None else np.asarray(mask, dtype=float)
         self.fixed = float(fixed)
+        self._lines = [_live_lines(C) for C in self.coeffs]
 
     def node_scores(self, tau):
         """D[i, q] = sum_{j != i} sum_l tau[j, l] * g_ql(i, j), less ``fixed``.
@@ -343,19 +353,14 @@ class DecomposedScores:
         the node-major S (tau C^T) at n = 1000, Q = 3 on one Xeon core.
         S^T is not replaced by S for undirected graphs, whose paired
         (bigauss) statistics are not symmetric.  A CSR statistic stays on
-        the left, S (tau C^T), and is added transposed.
+        the left, S (tau C^T), and is added transposed.  The transposed
+        side of a directed graph is the same product of (S^T, C^T).
         """
-        tT = tau.T
         Dt = np.zeros((tau.shape[1], tau.shape[0]))
-        for S, C in zip(self.stats, self.coeffs):
-            if sparse.issparse(S):
-                Dt += (S @ (tau @ C.T)).T
-                if self.directed:
-                    Dt += (S.T @ (tau @ C)).T
-            else:
-                Dt += (C @ tT) @ S.T
-                if self.directed:
-                    Dt += (C.T @ tT) @ S
+        for S, C, (rows, cols) in zip(self.stats, self.coeffs, self._lines):
+            _add_product(Dt, S, C, rows, tau)
+            if self.directed:
+                _add_product(Dt, S.T, C.T, cols, tau)
         if self.mask is not None:
             rest = (tau.sum(axis=0) - tau).T  # (M @ tau)^T
             Dt += self.mask @ rest
@@ -366,8 +371,11 @@ class DecomposedScores:
     def edge_term(self, tau):
         """sum over pairs (ordered, or i<j when undirected) of ttlogf."""
         t = 0.0
-        for S, C in zip(self.stats, self.coeffs):
-            t += np.sum(_block_sums(S, tau) * C)
+        for S, C, (rows, _) in zip(self.stats, self.coeffs, self._lines):
+            if rows is None:
+                t += np.sum(_block_sums(S, tau) * C)
+            else:
+                t += sum(tau[:, r] @ (S @ (tau @ C[r])) for r in rows)
         if self.mask is not None:
             col = tau.sum(axis=0)
             t += np.sum((np.outer(col, col) - tau.T @ tau) * self.mask)
@@ -387,32 +395,32 @@ class DecomposedScores:
     gs_state = None
 
 
+def _live_lines(C):
+    """(rows, columns) of C that hold a non-zero entry, as index arrays, each
+    None when every one does.  A C without zeros costs one count."""
+    if np.count_nonzero(C) == C.size:
+        return None, None
+    rows, cols = C.any(axis=1), C.any(axis=0)
+    return (None if rows.all() else np.flatnonzero(rows),
+            None if cols.all() else np.flatnonzero(cols))
+
+
+def _add_product(Dt, S, C, rows, tau):
+    """Dt[q] += S @ (tau @ C[q]) for every row q of C as one product, or
+    for the rows q in ``rows`` as one matrix-vector product each."""
+    if rows is None:
+        Dt += (S @ (tau @ C.T)).T if sparse.issparse(S) else (C @ tau.T) @ S.T
+        return
+    for r in rows:
+        Dt[r] += S @ (tau @ C[r])
+
+
 class DenseScores:
-    """Fallback holding the full (Q, Q, n, n) log-density tensor."""
+    """Empty.  bench/tracer.py looks these three names up on the class; the
+    next change to the benchmark removes it, as it does ``gs_state`` on
+    :class:`DecomposedScores`.  No family scores through it."""
 
-    fixed = 0.0  # the tensor holds every term
-
-    def __init__(self, tensor, directed):
-        self.tensor = np.asarray(tensor)
-        n = self.tensor.shape[-1]
-        self.tensor[:, :, np.arange(n), np.arange(n)] = 0.0
-        self.directed = directed
-
-    def node_scores(self, tau):
-        D = np.einsum("qlij,jl->iq", self.tensor, tau)
-        if self.directed:
-            D += np.einsum("lqji,jl->iq", self.tensor, tau)
-        return D
-
-    def edge_term(self, tau):
-        t = np.einsum("iq,qlij,jl->", tau, self.tensor, tau)
-        return t if self.directed else 0.5 * t
-
-    def dense(self):
-        return self.tensor
-
-    # Kept only for bench/tracer.py, as on DecomposedScores.
-    gs_state = None
+    node_scores = edge_term = gs_state = None
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +680,12 @@ class _StatFamily(_Family):
         return make
 
 
+def _blocks(Q, directed):
+    """The blocks (q, l) with parameters of their own: every block when
+    directed, q <= l when undirected."""
+    return [(q, l) for q in range(Q) for l in range(Q) if directed or q <= l]
+
+
 def _blockify(a, z):
     """Expand a (Q, Q, ...) block array to edge shape via labels z."""
     return a[np.ix_(z, z)]
@@ -720,13 +734,19 @@ class _PoissonRegFamily(_Family):
         self.shared = dict(FAMILIES[spec.kind].flags)["shared"]
 
     def scorer(self, graph, cov, workspace=None):
+        """PRMH: the statistics X and exp(Y beta) with coefficients log lam
+        and -lam, and X * Y beta in ``fixed``.  PRMI: one statistic per
+        block (q, l), q <= l when undirected,
+        B_ql = X * (log lam_ql + Y beta_ql) - lam_ql exp(Y beta_ql),
+        with a one-hot coefficient at (q, l), and also at (l, q) when
+        undirected.  Both put
+        -sum log X! in ``fixed``."""
         X = graph.scalar_values
         Y = cov.y
         directed = graph.directed
+        log_fact = _log_factorial_total(graph)
 
         if self.shared:
-            log_fact = _log_factorial_total(graph)
-
             def make(params):
                 g = Y @ params.beta
                 E = _zero_diagonal(np.exp(g))
@@ -734,18 +754,25 @@ class _PoissonRegFamily(_Family):
                 return DecomposedScores([X, E], [_safe_log(params.lam), -params.lam],
                                         directed, fixed=fixed)
         else:
-            base = -gammaln(X + 1.0)  # DenseScores zeroes the diagonal
-
             def make(params):
                 Q = params.Q
-                n = graph.n
-                L = np.empty((Q, Q, n, n))
                 loglam = _safe_log(params.lam)
-                for q in range(Q):
-                    for l in range(Q):
-                        g = Y @ params.beta[q, l]
-                        L[q, l] = X * (loglam[q, l] + g) - params.lam[q, l] * np.exp(g) + base
-                return DenseScores(L, directed)
+                E = np.empty_like(X)
+                stats, coeffs = [], []
+                for q, l in _blocks(Q, directed):
+                    B = Y @ params.beta[q, l]
+                    np.exp(B, out=E)
+                    E *= params.lam[q, l]
+                    B += loglam[q, l]
+                    B *= X
+                    B -= E
+                    stats.append(_zero_diagonal(B))
+                    C = np.zeros((Q, Q))
+                    C[q, l] = 1.0
+                    if not directed:
+                        C[l, q] = 1.0
+                    coeffs.append(C)
+                return DecomposedScores(stats, coeffs, directed, fixed=log_fact)
 
         return make
 
@@ -780,9 +807,7 @@ class _PoissonRegFamily(_Family):
             beta = np.zeros((Q, Q, cov.p)) if prev is None else np.array(prev.beta)
             lam = np.zeros((Q, Q))
             C = np.matmul(tau.T, workspace.xy @ tau)  # (p, Q, Q): tau_q^T (X * Y_d) tau_l
-            pairs = [(q, l) for q in range(Q) for l in range(Q)
-                     if graph.directed or q <= l]
-            for q, l in pairs:
+            for q, l in _blocks(Q, graph.directed):
                 if degen[q, l]:
                     continue
                 sums_at = partial(workspace.sums, tau[:, q:q + 1], tau[:, l:l + 1])
@@ -1299,7 +1324,11 @@ class _GLMWorkspace:
         packed = {pair: k for k, pair in enumerate(self.pairs, 1 + p)}
         self.hessian = np.array([packed[min(d, e), max(d, e)]
                                  for d in range(p) for e in range(p)])
-        self.rows = max(1, _GLM_BLOCK_ELEMS // ((1 + p + len(self.pairs)) * n))
+        K = 1 + p + len(self.pairs)
+        self.rows = max(1, _GLM_BLOCK_ELEMS // (K * n))
+        # the channel stack of one pass, reused by every call: a new one per
+        # pass is an mmap whose pages fault in again each time
+        self.stack = np.empty((K, min(self.rows, n), n))
 
     def sums(self, left, right, beta):
         """At beta, the weighted sums left^T F right of F = E, E * Y_d and
@@ -1323,9 +1352,9 @@ class _GLMWorkspace:
         L = None
         for r0 in range(0, n, self.rows):
             r1 = min(n, r0 + self.rows)
-            F = np.empty((K, r1 - r0, n))
-            g = self.pair_major[r0:r1].reshape(-1, p) @ beta
-            np.exp(g.reshape(r1 - r0, n), out=F[0])
+            F = self.stack[:, :r1 - r0]
+            np.matmul(self.pair_major[r0:r1].reshape(-1, p), beta, out=F[0].reshape(-1))
+            np.exp(F[0], out=F[0])
             F[0].reshape(-1)[r0::n + 1] = 0.0  # the diagonal entries of these rows
             np.multiply(F[0], Y[:, r0:r1], out=F[1:1 + p])
             for k, (d, e) in enumerate(self.pairs, 1 + p):

@@ -122,3 +122,28 @@ def grid_search_poisson_reg(X, Y, lam_range, beta_range, refinements=3, size=41)
 
 def random_tau(rng, n, Q):
     return rng.dirichlet(np.ones(Q), size=n)
+
+
+class DenseScores:
+    """Fallback holding the full (Q, Q, n, n) log-density tensor."""
+
+    fixed = 0.0  # the tensor holds every term
+
+    def __init__(self, tensor, directed):
+        self.tensor = np.asarray(tensor)
+        n = self.tensor.shape[-1]
+        self.tensor[:, :, np.arange(n), np.arange(n)] = 0.0
+        self.directed = directed
+
+    def node_scores(self, tau):
+        D = np.einsum("qlij,jl->iq", self.tensor, tau)
+        if self.directed:
+            D += np.einsum("lqji,jl->iq", self.tensor, tau)
+        return D
+
+    def edge_term(self, tau):
+        t = np.einsum("iq,qlij,jl->", tau, self.tensor, tau)
+        return t if self.directed else 0.5 * t
+
+    def dense(self):
+        return self.tensor

@@ -3,13 +3,16 @@ direct evaluations.
 
 The decomposed scores are checked against the (Q, Q, n, n) tensor of
 scalar ``log_density`` values, which shares no code with the sum-of-products
-path; the E-step's change in J against two ``lower_bound`` calls; the
+path (see ``oracle_utils.DenseScores``); coefficients with rows of zeros,
+such as PRMI's one-hot ones, against the tensor of the same decomposition;
+the E-step's change in J against two ``lower_bound`` calls; the
 Gram-matrix profile distances against ``pdist`` on the explicit n x 2n
 profile matrix; the CSR statistics of sparse count graphs against the same
 scores built on the dense array; the class-major softmax against the
 row-wise one, and -sum log X! from a value histogram against gammaln.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,7 +48,6 @@ from blockfit.families import (
     BernoulliParams,
     BivariateGaussianParams,
     DecomposedScores,
-    DenseScores,
     GaussianParams,
     LinearRegressionParams,
     MultinomialParams,
@@ -59,6 +61,9 @@ from blockfit.families import (
 )
 from blockfit.graph import CSR_MAX_DENSITY, EdgeCovariates
 from blockfit.selection import icl, icl_penalty
+from blockfit.simulate import sample_graph
+
+from oracle_utils import DenseScores
 
 NUM_LABELS = 3
 P = 2  # covariate dimension (simplereg: 1)
@@ -409,6 +414,79 @@ def test_newton_without_a_finite_mle_raises(seed):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError):
             mstep(g, spec, tau, cov, prev=params)
+
+
+# ---------------------------------------------------------------------------
+# PRMI's per-block statistics and coefficients with rows of zeros
+
+
+@settings(max_examples=60, deadline=None)
+@given(directed=st.booleans(), csr=st.booleans(), n=st.integers(2, 12), Q=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_coefficients_with_zero_rows_match_the_tensor(directed, csr, n, Q, seed):
+    """Rows (and columns) of zeros are skipped, not mis-scored."""
+    rng = np.random.default_rng(seed)
+    stats, coeffs = [], []
+    for _ in range(3):
+        S = np.where(rng.random((n, n)) < 0.3, rng.normal(size=(n, n)), 0.0)
+        np.fill_diagonal(S, 0.0)
+        stats.append(sparse.csr_array(S) if csr else S)
+        C = rng.normal(size=(Q, Q))
+        C[rng.random(Q) < 0.5] = 0.0
+        C[:, rng.random(Q) < 0.5] = 0.0
+        coeffs.append(C)
+    ops = DecomposedScores(stats, coeffs, directed, mask=rng.normal(size=(Q, Q)), fixed=1.5)
+    oracle = DenseScores(ops.dense(), directed)
+    tau = rng.dirichlet(np.ones(Q), size=n)
+    want = oracle.node_scores(tau)
+    assert np.max(np.abs(ops.node_scores(tau) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    edge = oracle.edge_term(tau) + 1.5
+    assert abs(ops.edge_term(tau) - edge) <= 1e-12 * max(1.0, abs(edge))
+
+
+def _prmi_instance(n, Q, directed, seed=0):
+    rng = np.random.default_rng(seed)
+    y = _mirror(rng.normal(0.0, 1.0, (n, n, P)), directed)
+    y[np.arange(n), np.arange(n)] = 0.0
+    cov = EdgeCovariates.from_matrix(y, directed)
+    spec = FamilySpec("poisson-prmi", covariate_dim=P)
+    theta = PoissonRegParams(lam=_sym(rng.gamma(2.0, 1.0, (Q, Q)), directed),
+                             beta=_sym(rng.normal(0, 0.4, (Q, Q, P)), directed), shared=False)
+    mix = MixtureParams(alpha=np.full(Q, 1.0 / Q), theta=theta)
+    g, _ = sample_graph(mix, n, directed, spec, seed=seed, cov=cov)
+    return g, cov, spec, theta
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_prmi_scores_one_statistic_per_block(directed):
+    g, cov, spec, theta = _prmi_instance(7, 3, directed)
+    ops = get_family(spec).scorer(g, cov)(theta)
+    blocks = [(q, l) for q in range(3) for l in range(3) if directed or q <= l]
+    assert len(ops.stats) == len(ops.coeffs) == len(blocks)
+    for (q, l), S, C in zip(blocks, ops.stats, ops.coeffs):
+        one_hot = np.zeros((3, 3))
+        one_hot[q, l] = 1.0
+        if not directed:
+            one_hot[l, q] = 1.0
+        assert np.array_equal(C, one_hot)
+        assert S.shape == (7, 7) and np.all(np.diag(S) == 0.0)
+    assert ops.mask is None and ops.fixed == _log_factorial_total(g)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_a_prmi_fit_holds_no_block_tensor(directed):
+    """n = 300, Q = 5: the (Q, Q, n, n) tensor alone takes 17 MiB, and a
+    fit that held it peaked at 41 MiB; with one statistic per block the
+    peak is 16 MiB undirected and 23 MiB directed."""
+    g, cov, spec, _ = _prmi_instance(300, 5, directed)
+    tracemalloc.start()
+    try:
+        fr = fit(g, spec, 5, cov, seed=0, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fr.iterations >= 1
+    assert peak < 30 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,19 @@ def test_mixture_params_q_is_derived_not_taken():
         MixtureParams(np.array([0.5, 0.5]), theta, Q=7)
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"strategy": "bogus"}, "unknown init strategy 'bogus'"),
+    ({"strategy": "random", "seed": -1}, "seed must be at least 0, got -1"),
+    ({"strategy": "given", "labels": [0, 0, 1, 0, 0]}, "labels must be length n"),
+], ids=["strategy", "seed", "labels"])
+def test_init_partition_checks_its_arguments_at_q_1(options, message):
+    """Q = 1 has one partition, but the arguments are checked as for Q >= 2."""
+    g = _graph(n=5)
+    with pytest.raises(ValueError, match=message):
+        engine.init_partition(g, 1, **options)
+    assert engine.init_partition(g, 1, strategy="random", seed=0).tau.shape == (5, 1)
+
+
 def test_the_hier_alias_names_the_hierarchical_start():
     fr = bf.fit(_graph(), POISSON, 2, restarts=1, init="hier")
     assert fr.diagnostics["init"] == "hierarchical"

@@ -152,6 +152,16 @@ def test_fit_records_each_start():
     assert bf.fit(g, POISSON, 3, restarts=1, init="hier").diagnostics["init"] == "hierarchical"
 
 
+def test_fit_takes_the_spectral_start_by_name():
+    g, _ = planted_sparse([3, 36])
+    got = bf.fit(g, POISSON, 3, restarts=2, seed=0, init="spectral")
+    want = bf.fit(g, POISSON, 3, restarts=2, seed=0)
+    assert got.diagnostics["init"] == want.diagnostics["init"] == "spectral"
+    assert got.bound_trajectory == want.bound_trajectory
+    assert np.array_equal(got.posterior.tau, want.posterior.tau)
+    assert np.array_equal(got.params.theta.lam, want.params.theta.lam)
+
+
 def test_start_labels_go_in_only_as_an_array():
     g, z = bf.sample_graph(grid_params(0.7, 2.0, 0.1, 3), 30, False, POISSON, seed=3)
     with pytest.raises(ValueError, match="unknown init strategy 'given'"):
