@@ -14,12 +14,12 @@ import warnings
 import numpy as np
 
 from . import io as bio
-from .engine import OUTER_MAX_ITER, OUTER_TOL, check_seed, fit
+from .engine import INIT_STARTS, OUTER_MAX_ITER, OUTER_TOL, check_seed, fit
 from .errors import BlockfitError, GraphBuildError, InputFormatError, NumericalError
-from .families import FAMILIES, FAMILY_KINDS, FamilySpec
+from .families import FAMILIES, FAMILY_KINDS, FamilySpec, as_int
 from .predict import prediction_report
 from .selection import icl, select_q
-from .simulate import MODES, GridConfig, as_int, run_experiment
+from .simulate import MODES, GridConfig, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -83,17 +83,22 @@ def _add_common_fit_flags(sub):
     sub.add_argument("--seed", type=int)
     sub.add_argument("--tol", type=float, default=OUTER_TOL)
     sub.add_argument("--max-iter", type=int, default=OUTER_MAX_ITER)
-    sub.add_argument("--init", choices=("auto", "hier", "random", "file"), default="auto",
+    sub.add_argument("--init", choices=(*INIT_STARTS, "file"), default="auto",
                      help="start of the first restart: auto (spectral on graphs with a "
-                          "CSR view, else hier), hier (Ward linkage), random, or file")
+                          "CSR view, else hierarchical), spectral, hierarchical or hier "
+                          "(Ward linkage), random, or file")
     sub.add_argument("--init-file", help="CSV of n initial labels in 0..Q-1 for --init file")
 
 
-def _check_seed(seed):
+def _check_fit_flags(args):
+    """Refuse the seed and restarts flags of fit and select that no fit
+    takes, before any file is read."""
     try:
-        check_seed(seed)
+        check_seed(args.seed)
     except ValueError as exc:
         raise _UsageError(f"--{exc}") from None
+    if args.restarts < 1:
+        raise _UsageError(f"--restarts must be at least 1, got {args.restarts}")
 
 
 def _fit_extra(g, cov):
@@ -106,7 +111,7 @@ def _fit_extra(g, cov):
 
 
 def cmd_fit(args):
-    _check_seed(args.seed)
+    _check_fit_flags(args)
     if args.q < 1:
         raise _UsageError(f"--q must be at least 1, got {args.q}")
     g, cov, spec = _load_inputs(args)
@@ -122,7 +127,7 @@ def cmd_fit(args):
 
 
 def cmd_select(args):
-    _check_seed(args.seed)
+    _check_fit_flags(args)
     if args.qmin < 1:
         raise _UsageError(f"--qmin must be at least 1, got {args.qmin}")
     if args.qmin > args.qmax:
@@ -221,21 +226,17 @@ def cmd_report(args):
         + ("" if result.icl is None else f"   ICL = {result.icl:.4f}"),
         "group sizes (MAP): " + " ".join(f"{names[q]}={sizes[q]}" for q in range(Q)),
         "alpha_hat (%): " + " ".join(f"{100 * a:.1f}" for a in result.params.alpha),
-        "theta:",
     ]
     theta = result.params.theta
-    block = getattr(theta, "lam", getattr(theta, "pi", getattr(theta, "mu", None)))
-    if block is not None and np.ndim(block) == 2:
-        lines += _format_matrix(np.asarray(block), names)
-    else:
-        lines.append(json.dumps(data["theta"], indent=1))
-    beta = getattr(theta, "beta", None)
-    if beta is not None and np.ndim(beta) == 1:
-        lines.append("beta_hat: " + " ".join(f"{b:.4f}" for b in np.atleast_1d(beta)))
-        ybar = data.get("covariate_mean")
-        if ybar:
-            effect = float(np.exp(np.dot(beta, ybar)))
-            lines.append(f"covariate effect at mean y (exp(beta.ybar)): {effect:.3f}")
+    for name, value in theta.arrays().items():
+        if value.shape == (Q, Q):
+            lines += [f"{name}_hat:", *_format_matrix(value, names)]
+        else:
+            lines.append(f"{name}_hat: {json.dumps(value.tolist())}")
+    ybar = data.get("covariate_mean")
+    if ybar and getattr(theta, "shared", False):  # one beta for all blocks (PRMH)
+        effect = float(np.exp(np.dot(theta.beta, ybar)))
+        lines.append(f"covariate effect at mean y (exp(beta.ybar)): {effect:.3f}")
     if args.baseline:
         base, base_spec, _ = bio.read_fit_json(args.baseline)
         if result.icl is None or base.icl is None:

@@ -50,6 +50,8 @@ SPECTRAL_SEED = 20111    # fixed stream: the spectral start depends on (graph, Q
 GRAM_BLOCK = 2 ** 18     # entries in one row block of a CSR graph's Ward Gram matrix
 # the start a fit takes when its first start fails with ValueError
 START_FALLBACK = {"spectral": "hierarchical", "hierarchical": "random"}
+# the names of the first start that fit takes besides a label vector
+INIT_STARTS = ("auto", "spectral", "hierarchical", "hier", "random")
 
 
 @dataclass
@@ -159,8 +161,11 @@ def _log_alpha(alpha):
 
 
 def _scorer(spec, graph, cov, workspace=None):
+    """The family's scorer; the inputs are checked unless ``workspace``,
+    built only for checked ones, is given."""
     fam = families.get_family(spec)
-    fam.check_graph(graph, cov)
+    if workspace is None:
+        fam.check_graph(graph, cov)
     return fam.scorer(graph, cov, workspace)
 
 
@@ -267,7 +272,9 @@ def mstep(graph: ValuedGraph, spec, tau, cov: EdgeCovariates | None = None,
     """alpha_q = mean_i tau_iq; theta by the family's weighted MLE.
 
     ``workspace`` is the family's ``mstep_workspace(graph, cov)``, which
-    :func:`fit` builds once and passes to each of its M-steps."""
+    :func:`fit` builds once and passes to each of its M-steps.  It is built
+    only for a graph and covariates that passed ``check_graph``, so a call
+    handed one checks nothing; without one, the call checks them once."""
     tau = np.asarray(tau, dtype=float)
     alpha = tau.mean(axis=0)
     alpha = alpha / alpha.sum()
@@ -496,7 +503,8 @@ def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
     embedding (see :func:`_spectral_embedding` and :func:`_kmeans`), in
     O(nnz) per product on a graph with a CSR view; ``random`` draws labels
     uniformly from ``default_rng(seed)`` (:func:`check_seed`); ``given``
-    softens the supplied label vector.  Fallbacks are :func:`fit`'s.
+    softens the supplied label vector, whose entries must be integers
+    (integral floats are taken).  Fallbacks are :func:`fit`'s.
 
     The spectral start draws from a fixed stream, so, like the hierarchical
     one, it depends on (graph, Q) alone.  It raises ValueError when every
@@ -527,7 +535,10 @@ def init_partition(graph: ValuedGraph, Q: int, strategy: str = "hierarchical",
     if strategy == "given":
         if labels is None:
             raise ValueError("strategy 'given' requires a label vector")
-        labels = np.asarray(labels, dtype=int)
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iuf" or not np.all(np.isfinite(labels) & (labels % 1 == 0)):
+            raise ValueError(f"labels must be integers, got {labels.dtype} entries")
+        labels = labels.astype(int)
         if labels.shape != (n,) or labels.min() < 0 or labels.max() >= Q:
             raise ValueError("labels must be length n with values in 0..Q-1")
     if Q == 1:
@@ -613,8 +624,12 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
     modules, on its first use.
     Restart r of the rest draws a random partition from
     ``default_rng(substream(seed, r))``, ``[seed, r]`` for an integer
-    seed.  A negative integer seed (:func:`check_seed`) or a Q outside
-    1..n raises ValueError before any start.  The fit with the highest
+    seed.  ValueError before any start unless Q and ``restarts`` are
+    integers (:func:`families.as_int`: a bool is not), Q lies in 1..n,
+    ``restarts`` is at least 1, a label vector holds integers and the seed
+    is not a negative integer (:func:`check_seed`).  The graph and
+    covariates are checked once, when the fit's workspace is built
+    (:meth:`families._Family.mstep_workspace`).  The fit with the highest
     final bound is returned (the earliest one when bounds agree to 1e-12
     relative), with classes relabeled in descending estimated-proportion
     order.
@@ -625,17 +640,19 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
         If every restart fails with a numerical/family error.
     """
     check_seed(seed)
+    Q, restarts = families.as_int("Q", Q), families.as_int("restarts", restarts)
     if not 1 <= Q <= graph.n:
         raise ValueError(f"Q must lie in 1..n, got {Q}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     fam = families.get_family(spec)
-    fam.check_graph(graph, cov)
     workspace = fam.mstep_workspace(graph, cov)
     scorer = fam.scorer(graph, cov, workspace)
 
     labels = None
     if not isinstance(init, str):
         labels, init = init, "given"
-    elif init not in {"auto", "hier", *START_FALLBACK, *START_FALLBACK.values()}:
+    elif init not in INIT_STARTS:
         raise ValueError(f"unknown init strategy {init!r}")
     elif init == "auto":
         init = "hierarchical" if graph.sparse_values is None else "spectral"
@@ -652,7 +669,7 @@ def fit(graph: ValuedGraph, spec, Q: int, cov: EdgeCovariates | None = None, *,
             init = START_FALLBACK[init]
     if init == "given":
         inits.append(init_partition(graph, Q, strategy="given", labels=labels).tau)
-    for r in range(len(inits), max(1, restarts)):
+    for r in range(len(inits), restarts):
         inits.append(init_partition(graph, Q, strategy="random", seed=substream(seed, r)).tau)
 
     runs, failures = [], []
@@ -757,7 +774,8 @@ def exact_posterior_marginals(graph: ValuedGraph, spec, params: MixtureParams,
 def complete_data_loglik(graph: ValuedGraph, spec, params: MixtureParams, labels,
                          cov: EdgeCovariates | None = None, *, workspace=None) -> float:
     """log P(X, Z; gamma) for a hard assignment Z given as labels;
-    ``workspace`` is as for :func:`mstep`, which the scorer may share."""
+    ``workspace`` is as for :func:`mstep`, which the scorer may share: the
+    inputs are checked only without one."""
     labels = np.asarray(labels, dtype=int)
     n, Q = graph.n, params.Q
     onehot = np.zeros((n, Q))

@@ -28,8 +28,9 @@ Every family answers three questions for the fitting engine:
   estimate, which maps the block sums T_k = tau^T S_k tau and the block
   weights to the parameters.  The Poisson regressions run Newton on the
   weighted GLM objective.  Each fit builds once what its M-steps reuse
-  (``mstep_workspace``): the statistics list, which its scorer shares, or
-  the regressions' covariate channels;
+  (``mstep_workspace``), after the one check of its graph and covariates:
+  the statistics list, which its scorer shares, or the regressions'
+  covariate channels;
 * bookkeeping -- sampling and block means per family; the rest comes from
   two tables.  The registry :data:`FAMILIES` maps each kind to its class,
   the value kind of its graphs (read by the CLI, sampling and
@@ -49,8 +50,9 @@ fit with NaNs.  Shared arrays are estimated from the other blocks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +90,17 @@ REG_GRAD_TOL = 1e-8
 REG_BETA_BOUND = 1e3
 
 
+def as_int(name, value):
+    """``value`` as an int.  A bool, a number with a fraction or a
+    non-number, which int() would take, truncate or parse, raises
+    ValueError.  The builtin type leads the isinstance tuple: it matches at
+    once, where the numbers ABC alone takes about 0.3 us per check."""
+    if isinstance(value, bool) or not (isinstance(value, (int, numbers.Integral))
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Choice of edge distribution plus its structural options.
@@ -101,6 +114,8 @@ class FamilySpec:
     covariate_dim : int, optional
         Covariate dimension p for the regression families (simplereg is
         scalar, p = 1).
+
+    Both are integers when given (:func:`as_int`).
     """
 
     kind: str
@@ -110,6 +125,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise FamilyError(f"unknown family kind {self.kind!r}")
+        for name in ("num_labels", "covariate_dim"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_int(name, getattr(self, name)))
         dims = {d for a in FAMILIES[self.kind].params for d in a.shape}
         if "m" in dims and (self.num_labels is None or self.num_labels < 2):
             raise FamilyError(f"{self.kind} family requires num_labels >= 2")
@@ -571,9 +589,15 @@ class _Family:
     # -- estimation ---------------------------------------------------------
 
     def mstep_workspace(self, graph: ValuedGraph, cov):
-        """What :meth:`weighted_mle` may reuse across the M-steps of one fit,
-        or None; never kept past the fit."""
-        return None
+        """What :meth:`weighted_mle` and the scorer reuse across the M-steps
+        of one fit, never kept past it.  Built only for inputs that pass
+        :meth:`check_graph`, the fit's one check: a call handed it trusts them."""
+        self.check_graph(graph, cov)
+        return self.build_workspace(graph, cov)
+
+    def build_workspace(self, graph, cov):
+        """The workspace of :meth:`mstep_workspace`, from checked inputs."""
+        raise NotImplementedError
 
     def block_estimate(self, tau, graph, cov, W, degen, prev, workspace):
         """(est, pooled): the parameter arrays by name, right on the blocks
@@ -590,10 +614,10 @@ class _Family:
 
     def weighted_mle(self, tau, graph, cov, prev=None, workspace=None):
         """The M-step of every family: :meth:`block_estimate` from the block
-        weights and ``workspace`` (built for this call when not given); on
-        the degenerate blocks each block-wise array frozen at ``prev``'s
-        value, or at the pooled one without ``prev``; then :meth:`finish`
-        and the record."""
+        weights and ``workspace`` (built, and so the inputs checked, for this
+        call when not given); on the degenerate blocks each block-wise array
+        frozen at ``prev``'s value, or at the pooled one without ``prev``;
+        then :meth:`finish` and the record."""
         if workspace is None:
             workspace = self.mstep_workspace(graph, cov)
         W, degen = _block_weights(tau, graph.n)
@@ -651,7 +675,7 @@ class _StatFamily(_Family):
     def estimate(self, T, W, degen):
         raise NotImplementedError
 
-    def mstep_workspace(self, graph, cov):
+    def build_workspace(self, graph, cov):
         """The statistics, built once per fit for the scorer and every M-step."""
         return self.statistics(graph, cov)
 
@@ -784,7 +808,7 @@ class _PoissonRegFamily(_Family):
         loglam = np.log(lam) if lam > 0 else LOG_ZERO
         return float(x * (loglam + g) - lam * np.exp(g) - gammaln(x + 1.0))
 
-    def mstep_workspace(self, graph, cov):
+    def build_workspace(self, graph, cov):
         return _GLMWorkspace(graph, cov, self.shared)
 
     def block_estimate(self, tau, graph, cov, W, degen, prev, workspace):
@@ -1215,7 +1239,10 @@ FAMILIES = {
 FAMILY_KINDS = tuple(FAMILIES)
 
 
+@cache
 def get_family(spec: FamilySpec) -> _Family:
+    """The one family object of ``spec``: it holds only what the frozen
+    spec fixes, so equal specs share it."""
     return FAMILIES[spec.kind].family(spec)
 
 
@@ -1299,7 +1326,7 @@ _GLM_BLOCK_ELEMS = 1 << 18
 
 class _GLMWorkspace:
     """What the Poisson-regression M-step reads of a graph and its
-    covariates, built once per fit (:meth:`_PoissonRegFamily.mstep_workspace`)
+    covariates, built once per fit (:meth:`_Family.mstep_workspace`)
     and dropped with it.
 
     It holds the covariates channel-major, ``y`` (p, n, n), for the
@@ -1394,13 +1421,12 @@ def weighted_mle(spec: FamilySpec, tau, graph: ValuedGraph, cov: EdgeCovariates 
     block-wise arrays keep ``prev``'s value (without ``prev``, a value
     pooled over all blocks).
     ``workspace`` is what the family's ``mstep_workspace(graph, cov)`` built
-    for this graph and covariates, reused across the M-steps of a fit;
-    without it, the call builds what it needs.
+    for this graph and covariates, reused across the M-steps of a fit.  A
+    workspace is built only for inputs that passed ``check_graph``, so they
+    are not checked again; without one, the call builds it, checking them.
     """
-    fam = get_family(spec)
-    fam.check_graph(graph, cov)
     tau = np.asarray(tau, dtype=float)
-    return fam.weighted_mle(tau, graph, cov, prev=prev, workspace=workspace)
+    return get_family(spec).weighted_mle(tau, graph, cov, prev=prev, workspace=workspace)
 
 
 def poisson_pm_mle(tau, graph: ValuedGraph) -> np.ndarray:

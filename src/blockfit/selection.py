@@ -96,7 +96,8 @@ def icl(graph: ValuedGraph, spec, fit_result: FitResult,
     gamma is re-optimized under the hard MAP assignment before evaluating
     the complete-data log-likelihood; P_Q stays at its nominal value even
     when classes come out empty (their blocks are frozen, not dropped).
-    The M-step and the likelihood share one workspace.
+    The M-step and the likelihood share one workspace, whose building is
+    the one check of the graph and covariates.
     """
     Q = fit_result.params.Q
     n = graph.n

@@ -518,3 +518,70 @@ def test_prediction_csv_bytes_match_the_row_loop(directed, monkeypatch):
     bio.write_prediction_csv(got, report, directed)
     _loop_prediction_csv(want, report, directed)
     assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("command", [["fit", "--q", "2"], ["select", "--qmax", "3"]],
+                         ids=["fit", "select"])
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_cli_fewer_than_one_restart_is_a_usage_error(tmp_path, capsys, command, restarts):
+    capsys.readouterr()
+    argv = command + ["--edges", str(tmp_path / "missing.csv"), "--restarts", restarts]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"blockfit: usage error: --restarts must be at least 1, got {restarts}\n")
+
+
+def test_cli_init_takes_every_start_fit_takes(tmp_path):
+    """The CLI's --init names are engine.fit's, so spectral and hierarchical
+    are asked for by name and fit as auto and hier do."""
+    params = MixtureParams(alpha=np.array([0.5, 0.5]),
+                           theta=PoissonParams(lam=np.array([[0.08, 0.01], [0.01, 0.06]])))
+    g, _ = bf.sample_graph(params, 200, False, POISSON, seed=4)
+    assert g.sparse_values is not None
+    edges = tmp_path / "edges.csv"
+    with open(edges, "w", encoding="utf-8") as fh:
+        fh.write("i,j,value\n")
+        for i, j in zip(*np.nonzero(np.triu(g.values))):
+            fh.write(f"{i},{j},{int(g.values[i, j])}\n")
+    fits = {}
+    for init in ("auto", "spectral", "hier", "hierarchical"):
+        out = tmp_path / f"{init}.json"
+        assert main(["fit", "--edges", str(edges), "--n", "200", "--fill", "0", "--q", "2",
+                     "--restarts", "2", "--seed", "3", "--init", init, "--out", str(out)]) == 0
+        fits[init] = out.read_bytes()
+    assert fits["spectral"] == fits["auto"]
+    assert fits["hierarchical"] == fits["hier"]
+    assert fits["spectral"] != fits["hier"]  # the two starts are not one
+
+
+def _report(tmp_path, capsys, spec, g, cov=None):
+    fr = bf.fit(g, spec, 2, cov, seed=0, restarts=1)
+    fit_json = tmp_path / f"{spec.kind}.json"
+    write_fit_json(fit_json, fr, spec, extra={"n": g.n, "directed": g.directed,
+                                              "covariate_mean": None})
+    capsys.readouterr()
+    assert main(["report", "--fit", str(fit_json)]) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_report_names_every_parameter(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    z = np.arange(30) % 2
+    X = rng.normal(np.where(z[:, None] == z[None, :], 2.0, -1.0), 1.0)
+    g = bf.ValuedGraph.from_matrix(np.triu(X, 1) + np.triu(X, 1).T, directed=False,
+                                   value_kind="real")
+    out = _report(tmp_path, capsys, FamilySpec("gaussian"), g)
+    assert "mu_hat:" in out and "sigma2_hat:" in out
+    assert out.index("mu_hat:") < out.index("sigma2_hat:")
+
+    y = rng.normal(0.0, 0.5, (30, 30, 2))
+    cov = EdgeCovariates.from_matrix(0.5 * (y + y.transpose(1, 0, 2)), directed=False)
+    spec = FamilySpec("poisson-prmi", covariate_dim=2)
+    params = MixtureParams(alpha=np.array([0.5, 0.5]), theta=PoissonRegParams(
+        lam=np.array([[4.0, 0.7], [0.7, 3.0]]), beta=np.full((2, 2, 2), 0.3), shared=False))
+    g, _ = bf.sample_graph(params, 30, False, spec, seed=2, cov=cov)
+    out = _report(tmp_path, capsys, spec, g, cov)
+    assert "lam_hat:" in out
+    beta = next(line for line in out.splitlines() if line.startswith("beta_hat: "))
+    assert np.shape(json.loads(beta[len("beta_hat: "):])) == (2, 2, 2)
+    assert "covariate effect" not in out

@@ -228,3 +228,21 @@ def test_cli_family_choices_are_the_registry():
     for name in ("fit", "select"):
         family = next(a for a in commands[name]._actions if a.dest == "family")
         assert tuple(family.choices) == FAMILY_KINDS
+
+
+@pytest.mark.parametrize("kind, sizes, message", [
+    ("multinomial", {"num_labels": 2.5}, "num_labels must be an integer, got 2.5"),
+    ("multinomial", {"num_labels": True}, "num_labels must be an integer, got True"),
+    ("poisson-prmh", {"covariate_dim": 2.5}, "covariate_dim must be an integer, got 2.5"),
+], ids=["labels-fraction", "labels-bool", "covariates-fraction"])
+def test_family_spec_sizes_are_integers(kind, sizes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FamilySpec(kind, **sizes)
+    assert FamilySpec(kind, **{k: 3.0 for k in sizes}) == FamilySpec(kind, **{k: 3 for k in sizes})
+
+
+def test_equal_specs_share_one_family_object():
+    fam = families.get_family(FamilySpec("poisson-prmh", covariate_dim=2))
+    assert families.get_family(FamilySpec("poisson-prmh", covariate_dim=2)) is fam
+    assert families.get_family(FamilySpec("poisson-prmh", covariate_dim=2.0)) is fam
+    assert families.get_family(FamilySpec("poisson-prmh", covariate_dim=3)) is not fam

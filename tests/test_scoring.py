@@ -54,12 +54,15 @@ from blockfit.families import (
     PoissonParams,
     PoissonRegParams,
     SimpleRegressionParams,
+    _Family,
     _log_factorial_total,
     _StatFamily,
     expfam_mle,
     get_family,
+    weighted_mle,
 )
 from blockfit.graph import CSR_MAX_DENSITY, EdgeCovariates
+from blockfit.predict import prediction_report
 from blockfit.selection import icl, icl_penalty
 from blockfit.simulate import sample_graph
 
@@ -399,6 +402,45 @@ def test_icl_builds_its_statistics_once(kind, monkeypatch):
     monkeypatch.setattr(cls, "statistics", counted)
     assert icl(g, spec, fr, cov) == want
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_each_call_checks_its_inputs_once(kind, monkeypatch):
+    """A fit, over all its restarts and iterations, and an ICL check the
+    graph and covariates once, when their workspace is built; a call handed
+    that workspace checks nothing, and a call without one checks once."""
+    rng = np.random.default_rng(7)
+    g, cov, spec, _ = _instance(kind, rng, 12, 2, kind != "bigauss")
+    real = _Family.check_graph
+    checks = []
+
+    def counted(self, graph, c):
+        checks.append(kind)
+        return real(self, graph, c)
+
+    monkeypatch.setattr(_Family, "check_graph", counted)
+
+    def count(call):
+        checks.clear()
+        call()
+        return len(checks)
+
+    fits = []
+    assert count(lambda: fits.append(fit(g, spec, 2, cov, seed=0, restarts=3))) == 1
+    fr = fits[0]
+    tau, theta, labels = fr.posterior.tau, fr.params, fr.map_assignment
+    assert count(lambda: icl(g, spec, fr, cov)) == 1
+    workspace = get_family(spec).mstep_workspace(g, cov)
+    assert count(lambda: mstep(g, spec, tau, cov)) == 1
+    assert count(lambda: mstep(g, spec, tau, cov, workspace=workspace)) == 0
+    assert count(lambda: weighted_mle(spec, tau, g, cov)) == 1
+    assert count(lambda: weighted_mle(spec, tau, g, cov, workspace=workspace)) == 0
+    assert count(lambda: lower_bound(g, spec, tau, theta, cov)) == 1
+    assert count(lambda: estep_fixed_point(g, spec, theta, tau, cov)) == 1
+    assert count(lambda: complete_data_loglik(g, spec, theta, labels, cov)) == 1
+    assert count(lambda: complete_data_loglik(g, spec, theta, labels, cov,
+                                              workspace=workspace)) == 0
+    assert count(lambda: prediction_report(fr, g, cov)) == 1
 
 
 # 16044 ... 19473 overflowed in the Newton Hessian; 58755 walked past

@@ -79,6 +79,39 @@ def test_fit_checks_q_before_any_start(monkeypatch, Q):
         bf.fit(g, POISSON, Q)
 
 
+@pytest.mark.parametrize("args, options, message", [
+    ((True,), {}, "Q must be an integer, got True"),
+    ((2.5,), {}, "Q must be an integer, got 2.5"),
+    ((2,), {"restarts": 0}, "restarts must be at least 1, got 0"),
+    ((2,), {"restarts": -3}, "restarts must be at least 1, got -3"),
+    ((2,), {"restarts": 1.5}, "restarts must be an integer, got 1.5"),
+    ((2,), {"restarts": True}, "restarts must be an integer, got True"),
+    ((2,), {"init": np.full(30, 0.7)}, "labels must be integers, got float64 entries"),
+], ids=["q-bool", "q-fraction", "restarts-0", "restarts-negative", "restarts-fraction",
+        "restarts-bool", "fractional-labels"])
+def test_fit_refuses_arguments_it_would_bend_before_any_start(monkeypatch, args, options,
+                                                                message):
+    """A bool Q, fewer than one restart and fractional labels are refused,
+    not read as one class, one restart and all-zero labels."""
+    real = engine.init_partition
+
+    def no_fit_start(graph, Q, strategy="hierarchical", **kwargs):
+        if strategy != "given":  # the given start is where labels are checked
+            raise AssertionError("fit started before it checked its arguments")
+        return real(graph, Q, strategy, **kwargs)
+
+    monkeypatch.setattr(engine, "init_partition", no_fit_start)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bf.fit(_graph(), POISSON, *args, **options)
+
+
+def test_fit_takes_integral_floats_and_labels():
+    want = bf.fit(_graph(), POISSON, 2, restarts=2, seed=1, init=np.arange(30) % 2)
+    got = bf.fit(_graph(), POISSON, 2.0, restarts=2.0, seed=1, init=np.arange(30.0) % 2)
+    assert got.bound_trajectory == want.bound_trajectory
+    assert got.diagnostics["restarts"] == 2
+
+
 def test_mixture_params_q_is_derived_not_taken():
     theta = PoissonParams(lam=np.ones((2, 2)))
     assert MixtureParams(alpha=np.array([0.5, 0.5]), theta=theta).Q == 2
