@@ -79,7 +79,9 @@ def _add_common_fit_flags(sub):
     sub.add_argument("--directed", action="store_true")
     sub.add_argument("--n", type=int, help="node count (default: inferred)")
     sub.add_argument("--fill", type=float, help="value for unlisted pairs")
-    sub.add_argument("--restarts", type=int, default=5)
+    sub.add_argument("--restarts", type=int, default=5,
+                     help="starts of each fit: each runs to 10 x --tol, and the best "
+                          "one carries on to --tol")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--tol", type=float, default=OUTER_TOL)
     sub.add_argument("--max-iter", type=int, default=OUTER_MAX_ITER)

@@ -90,21 +90,25 @@ def icl_penalty(spec, Q: int, n: int, directed: bool, edge_count: str = "ordered
 
 
 def icl(graph: ValuedGraph, spec, fit_result: FitResult,
-        cov: EdgeCovariates | None = None, *, edge_count: str = "ordered") -> float:
+        cov: EdgeCovariates | None = None, *, edge_count: str = "ordered",
+        workspace=None) -> float:
     """ICL of a fitted model.
 
     gamma is re-optimized under the hard MAP assignment before evaluating
     the complete-data log-likelihood; P_Q stays at its nominal value even
     when classes come out empty (their blocks are frozen, not dropped).
     The M-step and the likelihood share one workspace, whose building is
-    the one check of the graph and covariates.
+    the one check of the graph and covariates; a ``workspace`` handed in
+    (the family's ``mstep_workspace(graph, cov)``, as for
+    :func:`engine.mstep`) is trusted and not checked again.
     """
     Q = fit_result.params.Q
     n = graph.n
     labels = np.asarray(fit_result.map_assignment, dtype=int)
     hard = np.zeros((n, Q))
     hard[np.arange(n), labels] = 1.0
-    workspace = families.get_family(spec).mstep_workspace(graph, cov)
+    if workspace is None:
+        workspace = families.get_family(spec).mstep_workspace(graph, cov)
     hard_params = mstep(graph, spec, hard, cov, prev=fit_result.params.theta,
                         workspace=workspace)
     cll = complete_data_loglik(graph, spec, hard_params, labels, cov, workspace=workspace)
@@ -127,8 +131,11 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
     ``seed * 1000 + Q`` (``substream(seed, Q)`` for a non-integer seed),
     so it gets the fit a full sweep gives it.  A negative integer seed is
     refused before the first fit, and a ``"seed"`` in ``fit_options``, which
-    go to :func:`engine.fit` as they are, raises TypeError.  Failed fits are
-    recorded with ICL = -inf instead of aborting the sweep.
+    go to :func:`engine.fit` as they are, raises TypeError.  The graph and
+    covariates are checked once, when the sweep builds the one workspace
+    that every fit and ICL of it shares, so inputs the family does not fit
+    raise before the first fit.  Failed fits are recorded with ICL = -inf
+    instead of aborting the sweep.
     """
     q_list = []
     for q in q_range:
@@ -140,6 +147,7 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
     if not q_list or sorted(q_list) != q_list:
         raise ValueError("q_range must be nonempty and ascending")
     check_seed(seed)
+    workspace = families.get_family(spec).mstep_workspace(graph, cov)
 
     records = []
     for q in q_list:
@@ -147,8 +155,9 @@ def select_q(graph: ValuedGraph, spec, q_range, cov: EdgeCovariates | None = Non
             break
         seed_q = int(seed) * 1000 + q if isinstance(seed, numbers.Integral) else substream(seed, q)
         try:
-            fr = fit(graph, spec, q, cov, seed=seed_q, **(fit_options or {}))
-            fr.icl = icl(graph, spec, fr, cov, edge_count=edge_count)
+            fr = fit(graph, spec, q, cov, seed=seed_q, workspace=workspace,
+                     **(fit_options or {}))
+            fr.icl = icl(graph, spec, fr, cov, edge_count=edge_count, workspace=workspace)
             records.append(SelectionRecord(q=q, fit=fr, icl=fr.icl))
         except (BlockfitError, ValueError, np.linalg.LinAlgError) as exc:
             records.append(SelectionRecord(q=q, fit=None, icl=-np.inf, error=str(exc)))

@@ -18,6 +18,7 @@ three groups of outputs:
 compares them with ``seeded_record.json``.  Usage::
 
     PYTHONPATH=src python tests/seeded_record.py          # rewrite the record
+    PYTHONPATH=src python tests/seeded_record.py --diff   # what moved; exit 1 if any
     PYTHONPATH=src python tests/seeded_record.py --hash   # SHA-256 of every output
 
 The hash covers the float bits of all three groups.  Two trees that hash
@@ -251,21 +252,32 @@ def digest(outs) -> str:
     return h.hexdigest()
 
 
+def _relative_change(a, b):
+    """Largest |b - a| / max(|a|, |b|) over paired entries (0 where equal)."""
+    return max((0.0 if x == y else abs(y - x) / max(abs(x), abs(y)) for x, y in zip(a, b)),
+               default=0.0)
+
+
 def mismatches(want, got):
-    """Lines naming each output of ``got`` that differs from the record ``want``."""
+    """Lines naming each output of ``got`` that differs from the record
+    ``want``: the exact fields that differ, and each close field that moved
+    beyond ``REL_TOL``, with its relative change."""
     bad = []
     if sorted(want) != sorted(got):
         bad.append(f"cases differ: {sorted(set(want) ^ set(got))}")
     for name in sorted(set(want) & set(got)):
         w, g = want[name], got[name]
-        if w["exact"] != g["exact"]:
-            keys = [k for k in w["exact"] if w["exact"][k] != g["exact"].get(k)]
-            bad.append(f"{name}: {keys} differ exactly")
-        for key, value in w["close"].items():
+        for key in sorted(set(w["exact"]) | set(g["exact"])):
+            old, new = w["exact"].get(key), g["exact"].get(key)
+            if old != new:
+                shown = f"{old!r} -> {new!r}" if len(repr(old)) + len(repr(new)) < 60 else "differ"
+                bad.append(f"{name}: exact {key} {shown}")
+        for key, value in sorted(w["close"].items()):
             a, b = np.atleast_1d(value), np.atleast_1d(g["close"].get(key, np.nan))
-            if a.shape != b.shape or not all(math.isclose(x, y, rel_tol=REL_TOL)
-                                             for x, y in zip(a, b)):
-                bad.append(f"{name}: {key} {value!r} -> {g['close'].get(key)!r}")
+            if a.shape != b.shape:
+                bad.append(f"{name}: close {key} has shape {b.shape}, recorded {a.shape}")
+            elif not all(math.isclose(x, y, rel_tol=REL_TOL) for x, y in zip(a, b)):
+                bad.append(f"{name}: close {key} moved by {_relative_change(a, b):.3g} relative")
     return bad
 
 
@@ -279,6 +291,10 @@ def main(argv):
     if argv == ["--hash"]:
         print(digest(outs))
         return 0
+    if argv == ["--diff"]:
+        bad = mismatches(load(), record(outs))
+        print("\n".join(bad) or f"no case of {len(outs)} moved")
+        return 1 if bad else 0
     if argv:
         print(__doc__.split("Usage::")[1].split("\n\n")[1], file=sys.stderr)
         return 2

@@ -439,10 +439,12 @@ def test_fit_keeps_the_earliest_of_restarts_that_tie(monkeypatch):
     J = -123.456
     starts, finals = [], [J, J + 1e-15 * abs(J)]
 
-    def fake_run_em(graph, spec, scorer, tau0, *args):
+    def fake_run_em(graph, spec, scorer, tau0, *args, state=None):
+        if state is not None:  # the leader's short run already met tol
+            return state
         starts.append(tau0)
         return {"params": params, "tau": tau0, "trajectory": [J, finals[len(starts) - 1]],
-                "converged": True, "iterations": 1, "estep_unconverged": 0,
+                "converged": True, "iterations": 1, "change": 0.0, "estep_unconverged": 0,
                 "estep_sweeps": 0, "estep_backtracks": 0, "estep_converged": True}
 
     monkeypatch.setattr(engine, "_run_em", fake_run_em)
@@ -450,6 +452,91 @@ def test_fit_keeps_the_earliest_of_restarts_that_tie(monkeypatch):
     assert len(starts) == 2 and finals[1] > finals[0]
     assert not np.array_equal(starts[0], starts[1])
     assert np.array_equal(fr.posterior.tau, starts[0]) and fr.bound == J
+
+
+def _spied_fit(monkeypatch, g, **kwargs):
+    """bf.fit with every _run_em call recorded as (tau0, tol, resumed, output)."""
+    from blockfit import engine
+
+    calls, real = [], engine._run_em
+
+    def spy(graph, spec, scorer, tau0, cov, tol, *args, state=None):
+        out = real(graph, spec, scorer, tau0, cov, tol, *args, state=state)
+        calls.append((tau0, tol, state is not None, out))
+        return out
+
+    monkeypatch.setattr(engine, "_run_em", spy)
+    fr = bf.fit(g, POISSON, 3, **kwargs)
+    monkeypatch.setattr(engine, "_run_em", real)
+    return fr, calls
+
+
+def _full_run(g, tau0, tol=1e-6):
+    """The fit of one start run straight to ``tol``, relabelled as fit relabels."""
+    from blockfit import engine
+
+    fam = get_family(POISSON)
+    workspace = fam.mstep_workspace(g, None)
+    out = engine._run_em(g, POISSON, fam.scorer(g, None, workspace), tau0, None, tol,
+                         engine.OUTER_MAX_ITER, workspace)
+    return out, relabel_descending(out["params"], out["tau"])
+
+
+def _planted(seed, n=50):
+    return bf.sample_graph(bf.grid_params(0.5, 2.0, 0.5, 3), n, False, POISSON, seed=seed)[0]
+
+
+def test_fit_carries_the_leading_short_run_on_to_the_full_run_of_its_start(monkeypatch):
+    # seed 25: start 2 leads after the short runs, 7 iterations short of tol
+    g = _planted(25)
+    fr, calls = _spied_fit(monkeypatch, g, seed=25, restarts=3)
+    d = fr.diagnostics
+    assert [(tol, resumed) for _, tol, resumed, _ in calls] == [(10 * 1e-6, False)] * 3 + [
+        (1e-6, True)]
+    assert d["continued"] == 2
+    assert d["short_run_bounds"] == [out["trajectory"][-1] for _, _, _, out in calls[:3]]
+    assert calls[-1][3]["iterations"] > calls[2][3]["iterations"]
+    for key in ("estep_sweeps", "estep_backtracks", "estep_unconverged"):
+        assert d[key] == sum(out[key] for _, _, _, out in calls)
+    out, (params, tau) = _full_run(g, calls[2][0])
+    assert fr.bound_trajectory == out["trajectory"]
+    assert fr.iterations == out["iterations"] and fr.converged == out["converged"]
+    assert np.array_equal(fr.posterior.tau, tau)
+    assert np.array_equal(fr.params.alpha, params.alpha)
+    assert np.array_equal(fr.params.theta.lam, params.theta.lam)
+    assert all(b >= a for a, b in zip(fr.bound_trajectory, fr.bound_trajectory[1:]))
+
+
+def test_a_single_start_runs_once_to_tol(monkeypatch):
+    g = _planted(25)
+    fr, calls = _spied_fit(monkeypatch, g, seed=25, restarts=1)
+    assert [(tol, resumed) for _, tol, resumed, _ in calls] == [(1e-6, False)]
+    assert fr.diagnostics["continued"] == 0 and fr.diagnostics["short_run_bounds"] is None
+    out, (_, tau) = _full_run(g, calls[0][0])
+    assert fr.bound_trajectory == out["trajectory"] and np.array_equal(fr.posterior.tau, tau)
+
+
+def test_a_leader_that_fails_to_continue_hands_over_to_the_next(monkeypatch):
+    from blockfit import engine
+
+    g = _planted(25)
+    real = engine._run_em
+
+    def failing(graph, spec, scorer, tau0, *args, state=None):
+        if state is not None and state["trajectory"][-1] == bounds[2]:
+            raise bf.NumericalError("diverged on the way to tol")
+        return real(graph, spec, scorer, tau0, *args, state=state)
+
+    bounds = bf.fit(g, POISSON, 3, seed=25, restarts=3).diagnostics["short_run_bounds"]
+    assert max(bounds) == bounds[2] and bounds[1] > bounds[0]
+    monkeypatch.setattr(engine, "_run_em", failing)
+    fr, calls = _spied_fit(monkeypatch, g, seed=25, restarts=3)
+    d = fr.diagnostics
+    assert d["continued"] == 1 and d["restarts_failed"] == 1
+    assert d["failures"] == ["restart 2 (continued): diverged on the way to tol"]
+    assert d["short_run_bounds"] == bounds
+    out, (_, tau) = _full_run(g, calls[1][0])
+    assert fr.bound_trajectory == out["trajectory"] and np.array_equal(fr.posterior.tau, tau)
 
 
 def test_posterior_reports_final_estep_convergence(monkeypatch):

@@ -63,7 +63,7 @@ from blockfit.families import (
 )
 from blockfit.graph import CSR_MAX_DENSITY, EdgeCovariates
 from blockfit.predict import prediction_report
-from blockfit.selection import icl, icl_penalty
+from blockfit.selection import icl, icl_penalty, select_q
 from blockfit.simulate import sample_graph
 
 from oracle_utils import DenseScores
@@ -406,9 +406,10 @@ def test_icl_builds_its_statistics_once(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_each_call_checks_its_inputs_once(kind, monkeypatch):
-    """A fit, over all its restarts and iterations, and an ICL check the
-    graph and covariates once, when their workspace is built; a call handed
-    that workspace checks nothing, and a call without one checks once."""
+    """A fit, over all its restarts and iterations, an ICL and a select_q
+    sweep, over all its Q, check the graph and covariates once, when their
+    workspace is built; a call handed that workspace checks nothing, and a
+    call without one checks once."""
     rng = np.random.default_rng(7)
     g, cov, spec, _ = _instance(kind, rng, 12, 2, kind != "bigauss")
     real = _Family.check_graph
@@ -431,6 +432,10 @@ def test_each_call_checks_its_inputs_once(kind, monkeypatch):
     tau, theta, labels = fr.posterior.tau, fr.params, fr.map_assignment
     assert count(lambda: icl(g, spec, fr, cov)) == 1
     workspace = get_family(spec).mstep_workspace(g, cov)
+    assert count(lambda: fit(g, spec, 2, cov, seed=0, restarts=3, workspace=workspace)) == 0
+    assert count(lambda: icl(g, spec, fr, cov, workspace=workspace)) == 0
+    assert count(lambda: select_q(g, spec, range(1, 4), cov, seed=0,
+                                  fit_options={"restarts": 2})) == 1
     assert count(lambda: mstep(g, spec, tau, cov)) == 1
     assert count(lambda: mstep(g, spec, tau, cov, workspace=workspace)) == 0
     assert count(lambda: weighted_mle(spec, tau, g, cov)) == 1

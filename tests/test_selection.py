@@ -77,6 +77,31 @@ def test_select_q_is_deterministic():
         assert ra.fit.bound == rb.fit.bound
 
 
+def test_a_sweep_checks_its_graph_once(monkeypatch):
+    """select_q builds one workspace, the one check of its graph, and hands it
+    to the fit and the ICL of every Q."""
+    from blockfit.families import _Family
+
+    g, _ = bf.sample_graph(MixtureParams(alpha=[0.5, 0.5], theta=PoissonParams(
+        lam=[[4.0, 1.0], [1.0, 3.0]])), 40, False, POISSON, seed=0)
+    want = bf.select_q(g, POISSON, range(1, 4), seed=2)
+    checks, real = [], _Family.check_graph
+    monkeypatch.setattr(_Family, "check_graph", lambda *a: checks.append(1) or real(*a))
+    got = bf.select_q(g, POISSON, range(1, 4), seed=2)
+    assert len(checks) == 1
+    assert [rec.icl for rec in got.records] == [rec.icl for rec in want.records]
+    single = bf.fit(g, POISSON, 2, seed=2002)
+    assert bf.icl(g, POISSON, single) == got.record(2).icl
+
+
+def test_a_sweep_refuses_a_graph_its_family_does_not_fit():
+    # the one check runs before the first fit, so no Q is fitted
+    g, _ = bf.sample_graph(MixtureParams(alpha=[1.0], theta=PoissonParams(lam=[[3.0]])), 12,
+                           False, POISSON, seed=0)
+    with pytest.raises(bf.FamilyError, match="0/1 values"):
+        bf.select_q(g, FamilySpec("bernoulli"), range(1, 3), seed=0)
+
+
 def test_select_q_records_failures_without_aborting():
     params = MixtureParams(alpha=np.array([1.0]), theta=PoissonParams(lam=np.array([[2.0]])))
     g, _ = bf.sample_graph(params, 5, False, POISSON, seed=3)
@@ -175,7 +200,10 @@ def _scripted_sweep(monkeypatch, icls):
 
     monkeypatch.setattr(selection, "fit", fake_fit)
     monkeypatch.setattr(selection, "icl", lambda graph, spec, fr, cov, **kw: icls[fr.q - 1])
-    return selection.select_q(None, POISSON, range(1, len(icls) + 1), seed=0)
+    # a real graph, because the sweep builds its one workspace from it
+    g, _ = bf.sample_graph(MixtureParams(alpha=[1.0], theta=PoissonParams(lam=[[2.0]])), 8,
+                           False, POISSON, seed=0)
+    return selection.select_q(g, POISSON, range(1, len(icls) + 1), seed=0)
 
 
 @pytest.mark.parametrize("icls, fitted, chosen", [
